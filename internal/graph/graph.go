@@ -206,35 +206,72 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// checkSymmetry verifies that the weighted arc multiset is symmetric.
+// checkSymmetry verifies that the weighted arc multiset is symmetric:
+// for every pair a < b, the summed weight of the arcs (a,b) and of the
+// arcs (b,a) must agree to within 1e-3. Adjacency may be unsorted and
+// may repeat a target; self-loops are exempt. It runs in O(N+M): a
+// counting sort gathers every backward arc (b,a), b > a, under a in
+// ascending b; then, per vertex a, a dense float64 accumulator adds a's
+// forward arcs and subtracts its gathered backward arcs, so each pair's
+// net is summed once, in arc order. The error names the smallest
+// violating pair.
 func (g *CSR) checkSymmetry() error {
 	n := g.NumVertices()
-	// Net per-ordered-pair weight must match; compare i→j sums against
-	// j→i sums using a two-pass accumulation over sorted adjacency would
-	// need sorting, so instead compare total out-weight per unordered
-	// pair via a hash of (min,max) — O(M) with a map, acceptable for a
-	// validation routine (not on the hot path).
-	type pair struct{ a, b uint32 }
-	acc := make(map[pair]float64)
+	start := make([]uint32, n+1) // start[a]: a's first gathered backward arc
 	for i := 0; i < n; i++ {
-		es, ws := g.Neighbors(uint32(i))
-		for k, e := range es {
-			if uint32(i) == e {
-				continue
-			}
-			p := pair{uint32(i), e}
-			if p.a > p.b {
-				p.a, p.b = p.b, p.a
-				acc[p] -= float64(ws[k])
-			} else {
-				acc[p] += float64(ws[k])
+		es, _ := g.Neighbors(uint32(i))
+		for _, e := range es {
+			if e < uint32(i) {
+				start[e+1]++
 			}
 		}
 	}
-	//gvevet:ignore nodeterm error path only: which violating pair is named may vary, validity itself cannot
-	for p, v := range acc {
-		if v > 1e-3 || v < -1e-3 {
-			return fmt.Errorf("graph: asymmetric arcs between %d and %d (net %g)", p.a, p.b, v)
+	for a := 0; a < n; a++ {
+		start[a+1] += start[a]
+	}
+	from := make([]uint32, start[n])
+	back := make([]float32, start[n])
+	fill := append([]uint32(nil), start[:n]...)
+	for i := 0; i < n; i++ {
+		es, ws := g.Neighbors(uint32(i))
+		for k, e := range es {
+			if e < uint32(i) {
+				from[fill[e]], back[fill[e]] = uint32(i), ws[k]
+				fill[e]++
+			}
+		}
+	}
+	net := make([]float64, n)
+	for a := 0; a < n; a++ {
+		es, ws := g.Neighbors(uint32(a))
+		bs, bw := from[start[a]:start[a+1]], back[start[a]:start[a+1]]
+		for k, e := range es {
+			if e > uint32(a) {
+				net[e] += float64(ws[k])
+			}
+		}
+		for k, b := range bs {
+			net[b] -= float64(bw[k])
+		}
+		// Read and clear every touched entry; a target listed twice
+		// reads zero the second time.
+		bad, badNet := uint32(n), 0.0
+		check := func(b uint32) {
+			if v := net[b]; (v > 1e-3 || v < -1e-3) && b < bad {
+				bad, badNet = b, v
+			}
+			net[b] = 0
+		}
+		for _, e := range es {
+			if e > uint32(a) {
+				check(e)
+			}
+		}
+		for _, b := range bs {
+			check(b)
+		}
+		if bad < uint32(n) {
+			return fmt.Errorf("graph: asymmetric arcs between %d and %d (net %g)", a, bad, badNet)
 		}
 	}
 	return nil

@@ -36,5 +36,6 @@
 // container (internal/graph/gvecsr) memory-maps in milliseconds, so a
 // server restart at multi-million-vertex scale pays only the initial
 // detection run, not a parse. The mapping must outlive every snapshot
-// built on it — cmd/gveserve simply never closes the File.
+// built on it, and the stream graph, which adopts it as its base until
+// the first swap — cmd/gveserve simply never closes the File.
 package serve

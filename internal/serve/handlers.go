@@ -188,7 +188,7 @@ func (s *Server) stats() StatsResponse {
 		BuiltAt:           snap.BuiltAt,
 		Warm:              snap.Warm,
 		Vertices:          snap.Graph.NumVertices(),
-		Edges:             snap.Graph.NumUndirectedEdges(),
+		Edges:             snap.edges,
 		Communities:       snap.Result.NumCommunities,
 		Modularity:        snap.Result.Modularity,
 		Quality:           snap.Result.Quality,
@@ -264,7 +264,7 @@ func (s *Server) gatherMetrics() *observe.MetricSet {
 	snap := s.snap.Load()
 	ms.Gauge("gveserve_snapshot_version", "Version of the published snapshot.", float64(snap.Version))
 	ms.Gauge("gveserve_snapshot_vertices", "Vertices in the published snapshot.", float64(snap.Graph.NumVertices()))
-	ms.Gauge("gveserve_snapshot_edges", "Undirected edges in the published snapshot.", float64(snap.Graph.NumUndirectedEdges()))
+	ms.Gauge("gveserve_snapshot_edges", "Undirected edges in the published snapshot.", float64(snap.edges))
 	ms.Gauge("gveserve_snapshot_communities", "Communities in the published snapshot.", float64(snap.Result.NumCommunities))
 	ms.Gauge("gveserve_snapshot_modularity", "Modularity of the published snapshot.", snap.Result.Modularity)
 	ms.Gauge("gveserve_snapshot_age_seconds", "Seconds since the published snapshot was built.", time.Since(snap.BuiltAt).Seconds())
@@ -289,6 +289,10 @@ func (s *Server) gatherMetrics() *observe.MetricSet {
 	}
 	ms.Histogram("gveserve_recompute_seconds", "Wall time of detection runs (initial and recomputes).",
 		s.lat["recompute_run"].Snapshot())
+	for i, name := range stageNames {
+		ms.Histogram("gveserve_swap_stage_seconds", "Wall time of each stage of a published swap (initial build included).",
+			s.stages[i].Snapshot(), observe.L("stage", name))
+	}
 	core.AddPoolMetrics(ms, s.pool.Counters())
 	s.tel.AddTo(ms)
 	if s.cfg.ExtraMetrics != nil {

@@ -96,9 +96,24 @@ type Server struct {
 	rejMu   sync.Mutex
 	lastRej string
 
-	lat  map[string]*observe.Histogram
-	reqs map[string]*atomic.Int64
+	lat    map[string]*observe.Histogram
+	reqs   map[string]*atomic.Int64
+	stages [numStages]*observe.Histogram
 }
+
+// The timed stages of a published swap, in order: building the graph
+// the run consumes (stream.Graph.Snapshot; for the initial build,
+// stream.FromCSR adopting the caller's graph), the detection run, the
+// oracle gate, and the query-index build (newSnapshot).
+const (
+	stageSnapshot = iota
+	stageRun
+	stageGate
+	stageIndex
+	numStages
+)
+
+var stageNames = [numStages]string{"snapshot", "run", "gate", "index"}
 
 // endpoints are the instrumented handler names, fixed at construction
 // so the latency/request maps are never mutated after New.
@@ -110,8 +125,11 @@ var endpoints = []string{
 // New builds the initial snapshot synchronously — a cold
 // LeidenHierarchy run, gated by the same invariant checks as every
 // later swap (there is no previous snapshot, so no differential bound)
-// — and starts the recompute worker. The caller owns g; the server
-// copies it into its mutable stream state.
+// — and starts the recompute worker. The server takes g over: the
+// initial snapshot serves g itself, and when g is canonical
+// (stream.FromCSR) the stream state adopts it as its base instead of
+// copying it. The caller must not modify g afterwards; the server
+// never does.
 func New(g *graph.CSR, cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 100_000
@@ -141,21 +159,32 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 		s.reqs[e] = &atomic.Int64{}
 	}
 	s.lat["recompute_run"] = observe.NewHistogram()
+	for i := range s.stages {
+		s.stages[i] = observe.NewHistogram()
+	}
 
+	var took [numStages]time.Duration
+	t := time.Now()
+	s.sg = stream.FromCSR(g)
+	took[stageSnapshot] = time.Since(t)
 	opt := s.runOptions()
 	start := time.Now()
 	res, h := core.LeidenHierarchy(g, opt)
+	took[stageRun] = time.Since(start)
+	t = time.Now()
 	if err := s.gate(g, res, nil); err != nil {
 		return nil, fmt.Errorf("serve: initial run failed the oracle gate: %w", err)
 	}
-	snap := newSnapshot(g, res, h, 1, false)
+	took[stageGate] = time.Since(t)
+	t = time.Now()
+	snap := newSnapshot(g, g.NumUndirectedEdges(), res, h, 1, false)
+	took[stageIndex] = time.Since(t)
 	s.snap.Store(snap)
 	s.recomputes.Add(1)
 	s.lat["recompute_run"].ObserveDuration(time.Since(start))
+	s.observeStages(took)
 	s.recordRun("serve-initial", res, g, start, "passed")
 	s.logSwap(snap, time.Since(start))
-
-	s.sg = stream.FromCSR(g)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
@@ -255,8 +284,12 @@ func (s *Server) worker(ctx context.Context) {
 // prepended back so the next candidate still describes the transition
 // from the (unchanged) published snapshot.
 func (s *Server) recompute() {
+	var took [numStages]time.Duration
 	s.mu.Lock()
+	t := time.Now()
 	g := s.sg.Snapshot()
+	took[stageSnapshot] = time.Since(t)
+	edges := s.sg.NumEdges()
 	ins, del := s.pendingIns, s.pendingDel
 	s.pendingIns, s.pendingDel = nil, nil
 	s.mu.Unlock()
@@ -277,9 +310,13 @@ func (s *Server) recompute() {
 		res, h = core.LeidenHierarchy(g, opt)
 	}
 	elapsed := time.Since(start)
+	took[stageRun] = elapsed
 	s.lat["recompute_run"].ObserveDuration(elapsed)
 
-	if err := s.gate(g, res, prev); err != nil {
+	t = time.Now()
+	err := s.gate(g, res, prev)
+	took[stageGate] = time.Since(t)
+	if err != nil {
 		s.rejections.Add(1)
 		s.rejMu.Lock()
 		s.lastRej = err.Error()
@@ -298,9 +335,12 @@ func (s *Server) recompute() {
 		return
 	}
 
-	next := newSnapshot(g, res, h, prev.Version+1, warm)
+	t = time.Now()
+	next := newSnapshot(g, edges, res, h, prev.Version+1, warm)
+	took[stageIndex] = time.Since(t)
 	s.snap.Store(next)
 	s.recomputes.Add(1)
+	s.observeStages(took)
 	s.recordRun("serve-recompute", res, g, start, "passed")
 	s.logSwap(next, elapsed)
 }
@@ -326,6 +366,14 @@ func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) error {
 		}
 	}
 	return r.Err()
+}
+
+// observeStages records the stage times of one published swap, so
+// every stage histogram counts exactly the published swaps.
+func (s *Server) observeStages(took [numStages]time.Duration) {
+	for i, d := range took {
+		s.stages[i].ObserveDuration(d)
+	}
 }
 
 func (s *Server) recordRun(algo string, res *core.Result, g *graph.CSR, start time.Time, check string) {
@@ -358,7 +406,7 @@ func (s *Server) logSwap(snap *Snapshot, elapsed time.Duration) {
 		slog.Uint64("version", snap.Version),
 		slog.Bool("warm", snap.Warm),
 		slog.Int("vertices", snap.Graph.NumVertices()),
-		slog.Int64("edges", snap.Graph.NumUndirectedEdges()),
+		slog.Int64("edges", snap.edges),
 		slog.Int("communities", snap.Result.NumCommunities),
 		slog.Float64("modularity", snap.Result.Modularity),
 		slog.Duration("elapsed", elapsed))

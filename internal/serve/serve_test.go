@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +28,12 @@ func testConfig() Config {
 func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	g, _ := gen.SocialNetwork(2000, 10, 8, 0.3, 7)
+	return startServerOn(t, g, cfg)
+}
+
+// startServerOn is startServer over the given graph.
+func startServerOn(t *testing.T, g *graph.CSR, cfg Config) (*Server, *Client) {
+	t.Helper()
 	s, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +80,24 @@ func waitRejections(t *testing.T, s *Server, want int64) {
 			t.Fatalf("rejections %d not reached (at %d)", want, s.Rejections())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// driveSwaps publishes k swaps, each growing the graph by one vertex
+// of degree two: vertex n0+i joins vertices (n0+i) mod n0 and
+// (n0+i+1) mod n0.
+func driveSwaps(t *testing.T, c *Client, n0 uint32, k int) {
+	t.Helper()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		u := n0 + uint32(i)
+		if _, err := c.ApplyDelta([]EdgeUpdate{{U: u, V: u % n0, W: 1}, {U: u, V: (u + 1) % n0, W: 1}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		waitVersion(t, c, st.Version+uint64(i)+1)
 	}
 }
 
@@ -146,6 +171,11 @@ func TestServeQueries(t *testing.T) {
 		if hr.Depth < 1 || len(hr.Levels) != hr.Depth {
 			t.Fatalf("bad hierarchy response: %+v", hr)
 		}
+		for d, c := range hr.Levels {
+			if flat, _ := snap.Hierarchy.Flatten(d + 1); flat[v] != c {
+				t.Fatalf("vertex %d at depth %d: cached community %d, Flatten says %d", v, d+1, c, flat[v])
+			}
+		}
 	}
 
 	// Truncation: limit=3 keeps Size at the full count.
@@ -208,7 +238,10 @@ func TestServeDeltaRecompute(t *testing.T) {
 // many goroutines while deltas force snapshot swaps underneath. Every
 // response must be internally consistent — a vertex always appears in
 // the member list of the community the *same snapshot version* assigned
-// it — and under -race this doubles as the lock-free-read proof.
+// it — and under -race this doubles as the lock-free-read proof. A
+// community id can outlive its snapshot: after a swap shrinks the
+// community count, /members answers 404 for it, which is correct only
+// once the published version has moved past the id's.
 func TestServeConcurrentQueriesDuringRecompute(t *testing.T) {
 	s, c := startServer(t, testConfig())
 	n := uint32(s.Snapshot().Graph.NumVertices())
@@ -243,6 +276,9 @@ func TestServeConcurrentQueriesDuringRecompute(t *testing.T) {
 				}
 				mr, err := c.Members(cr.Community, 0)
 				if err != nil {
+					if strings.HasSuffix(err.Error(), "(status 404)") && s.Snapshot().Version > cr.Version {
+						continue // the id came from a replaced snapshot
+					}
 					report(err)
 					return
 				}
@@ -265,15 +301,7 @@ func TestServeConcurrentQueriesDuringRecompute(t *testing.T) {
 		}(uint32(w))
 	}
 
-	// Drive three swaps while the readers run.
-	base := n
-	for i := 0; i < 3; i++ {
-		u := base + uint32(i)
-		if _, err := c.ApplyDelta([]EdgeUpdate{{U: u, V: u % n, W: 1}, {U: u, V: (u + 1) % n, W: 1}}, nil); err != nil {
-			t.Fatal(err)
-		}
-		waitVersion(t, c, uint64(2+i))
-	}
+	driveSwaps(t, c, n, 3)
 	close(stop)
 	wg.Wait()
 	select {
@@ -488,5 +516,74 @@ func TestServeIngestDirect(t *testing.T) {
 	}
 	if err := s.Ingest([]graph.Edge{{U: 1, V: 2, W: 1}}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeAdoptsCallerGraph: the server serves the caller's graph as
+// its initial snapshot and adopts it as the stream base, so swaps must
+// build new graphs and leave it bit-identical; /stats reports every
+// swapped graph's edge count from the count recorded at publication.
+func TestServeAdoptsCallerGraph(t *testing.T) {
+	g, _ := gen.SocialNetwork(2000, 10, 8, 0.3, 7)
+	want := g.Clone()
+	s, c := startServerOn(t, g, testConfig())
+	if s.Snapshot().Graph != g {
+		t.Fatal("the initial snapshot does not serve the caller's graph")
+	}
+	n := uint32(g.NumVertices())
+	for i := 0; i < 4; i++ {
+		// Delete one of the caller's edges too, so the merge has to drop
+		// a base arc.
+		es, _ := g.Neighbors(uint32(i))
+		del := []EdgeUpdate{{U: uint32(i), V: es[len(es)-1]}}
+		u := n + uint32(i)
+		if _, err := c.ApplyDelta([]EdgeUpdate{{U: u, V: 0, W: 1}, {U: 1, V: 2, W: 0.5}}, del); err != nil {
+			t.Fatal(err)
+		}
+		st := waitVersion(t, c, uint64(2+i))
+		if got := s.Snapshot().Graph.NumUndirectedEdges(); st.Edges != got {
+			t.Fatalf("version %d: /stats edges %d, graph has %d", st.Version, st.Edges, got)
+		}
+	}
+	if !reflect.DeepEqual(g, want) {
+		t.Fatal("swaps modified the caller's graph")
+	}
+}
+
+// TestServeSwapStageMetrics: every stage histogram counts each
+// published swap once, initial build included, and the run, gate and
+// index stages fit inside the flight records' wall time.
+func TestServeSwapStageMetrics(t *testing.T) {
+	s, c := startServer(t, testConfig())
+	driveSwaps(t, c, uint32(s.Snapshot().Graph.NumVertices()), 3)
+	// The flight record is written last in a swap: once all are in,
+	// every stage of every swap has been observed.
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Telemetry().Flight().Total() < uint64(s.Recomputes()) {
+		if time.Now().After(deadline) {
+			t.Fatal("flight records lag the published swaps")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var wall float64
+	for _, r := range s.Telemetry().Flight().Records() {
+		wall += r.WallSeconds
+	}
+	sums := map[string]float64{}
+	for _, m := range s.gatherMetrics().Metrics() {
+		if m.Name != "gveserve_swap_stage_seconds" {
+			continue
+		}
+		stage := m.Labels[0].Value
+		if m.Count != uint64(s.Recomputes()) {
+			t.Fatalf("stage %s counted %d swaps, %d published", stage, m.Count, s.Recomputes())
+		}
+		sums[stage] = m.Sum
+	}
+	if len(sums) != len(stageNames) {
+		t.Fatalf("stages exported: %v", sums)
+	}
+	if inRun := sums["run"] + sums["gate"] + sums["index"]; inRun > wall {
+		t.Fatalf("run+gate+index %.6fs exceed the flight wall time %.6fs", inRun, wall)
 	}
 }

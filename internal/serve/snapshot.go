@@ -25,6 +25,9 @@ type Snapshot struct {
 	BuiltAt time.Time
 	Warm    bool
 
+	// edges is Graph's undirected edge count, recorded at publication
+	// so that no reader rescans every arc.
+	edges int64
 	// members[c] lists community c's vertices in ascending order — the
 	// /members index, built once at publication instead of scanning the
 	// membership per query.
@@ -34,10 +37,12 @@ type Snapshot struct {
 	flat [][]uint32
 }
 
-// newSnapshot derives the query indexes. Building the members index is
-// a counting sort over the membership: sizes, offsets, then one fill
-// pass in vertex order, which leaves every list sorted.
-func newSnapshot(g *graph.CSR, res *core.Result, h *core.Hierarchy, version uint64, warm bool) *Snapshot {
+// newSnapshot derives the query indexes; edges is g's undirected edge
+// count. Building the members index is a counting sort over the
+// membership: sizes, offsets, then one fill pass in vertex order, which
+// leaves every list sorted. The per-depth flatten cache composes one
+// more level per depth, O(N·depth) in all.
+func newSnapshot(g *graph.CSR, edges int64, res *core.Result, h *core.Hierarchy, version uint64, warm bool) *Snapshot {
 	s := &Snapshot{
 		Graph:     g,
 		Result:    res,
@@ -45,6 +50,7 @@ func newSnapshot(g *graph.CSR, res *core.Result, h *core.Hierarchy, version uint
 		Version:   version,
 		BuiltAt:   time.Now(),
 		Warm:      warm,
+		edges:     edges,
 	}
 	s.members = make([][]uint32, res.NumCommunities)
 	sizes := make([]int, res.NumCommunities)
@@ -57,15 +63,16 @@ func newSnapshot(g *graph.CSR, res *core.Result, h *core.Hierarchy, version uint
 	for v, c := range res.Membership {
 		s.members[c] = append(s.members[c], uint32(v))
 	}
-	if h != nil {
+	if h != nil && h.Depth() > 0 {
 		s.flat = make([][]uint32, h.Depth())
-		for d := 1; d <= h.Depth(); d++ {
-			flat, err := h.Flatten(d)
-			if err != nil {
-				// Unreachable: d is in [1, Depth] by construction.
-				continue
+		s.flat[0] = h.Levels[0].Membership // read-only, like the rest of h
+		for d := 1; d < h.Depth(); d++ {
+			lvl, prev := h.Levels[d].Membership, s.flat[d-1]
+			flat := make([]uint32, len(prev))
+			for v, c := range prev {
+				flat[v] = lvl[c]
 			}
-			s.flat[d-1] = flat
+			s.flat[d] = flat
 		}
 	}
 	return s

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,7 +123,10 @@ func TestApplyMatchesApplyDelta(t *testing.T) {
 // randomized batches — duplicate insertions, delete-then-reinsert of
 // the same edge, negative (cancelling) weights — stream.Apply+Snapshot
 // and graph.ApplyDelta must produce bit-identical CSRs, and must agree
-// on whether the batch is valid at all.
+// on whether the batch is valid at all. Each seed runs a sequence of
+// batches and snapshots only at random points, so the base rolls over
+// at some batches while the overlay spans several at others; between
+// snapshots the lookups must already answer from the overlay.
 func TestApplyDifferentialRandomized(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		g, _ := gen.SocialNetwork(300, 8, 5, 0.3, seed+1)
@@ -133,56 +138,243 @@ func TestApplyDifferentialRandomized(t *testing.T) {
 			return rng
 		}
 		n := uint32(g.NumVertices())
-
-		// Deletions: existing edges, with an occasional duplicate.
-		_, del := graph.RandomDelta(g, 0, 12, seed+3)
-		if seed%4 == 0 && len(del) > 0 {
-			del = append(del, del[int(next()%uint64(len(del)))]) // duplicate → invalid
-		}
-		// Insertions: fresh edges, reinforcements, re-inserts of deleted
-		// edges, duplicates within the batch, and negative weights.
-		var ins []graph.Edge
-		for i := 0; i < 30; i++ {
-			var e graph.Edge
-			switch next() % 4 {
-			case 0: // random pair (may exist, may repeat)
-				e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: float32(next()%5) + 1}
-			case 1: // re-insert a deleted edge
-				if len(del) > 0 {
-					d := del[int(next()%uint64(len(del)))]
-					e = graph.Edge{U: d.U, V: d.V, W: 2}
-				} else {
-					e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: 1}
+		s := FromCSR(g)
+		cur := g
+		for batch := uint64(0); batch < 6; batch++ {
+			// Deletions: existing edges, with an occasional duplicate.
+			_, del := graph.RandomDelta(cur, 0, 12, seed+3+batch)
+			if next()%5 == 0 && len(del) > 0 {
+				del = append(del, del[int(next()%uint64(len(del)))]) // duplicate → invalid
+			}
+			// Insertions: fresh edges, reinforcements, re-inserts of
+			// deleted edges, duplicates within the batch, and negative
+			// weights.
+			var ins []graph.Edge
+			for i := 0; i < 30; i++ {
+				var e graph.Edge
+				switch next() % 4 {
+				case 0: // random pair (may exist, may repeat)
+					e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: float32(next()%5) + 1}
+				case 1: // re-insert a deleted edge
+					if len(del) > 0 {
+						d := del[int(next()%uint64(len(del)))]
+						e = graph.Edge{U: d.U, V: d.V, W: 2}
+					} else {
+						e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: 1}
+					}
+				case 2: // negative weight: cancels or dips an existing edge
+					e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: -float32(next()%3) - 1}
+				case 3: // duplicate of an earlier insertion
+					if len(ins) > 0 {
+						e = ins[int(next()%uint64(len(ins)))]
+					} else {
+						e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: 1}
+					}
 				}
-			case 2: // negative weight: cancels or dips an existing edge
-				e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: -float32(next()%3) - 1}
-			case 3: // duplicate of an earlier insertion
-				if len(ins) > 0 {
-					e = ins[int(next()%uint64(len(ins)))]
-				} else {
-					e = graph.Edge{U: uint32(next()) % n, V: uint32(next()) % n, W: 1}
+				ins = append(ins, e)
+			}
+
+			viaRebuild, errRebuild := graph.ApplyDelta(cur, ins, del)
+			errStream := s.Apply(ins, del)
+			if (errRebuild == nil) != (errStream == nil) {
+				t.Fatalf("seed %d batch %d: appliers disagree on validity: rebuild=%v stream=%v",
+					seed, batch, errRebuild, errStream)
+			}
+			if errRebuild == nil {
+				cur = viaRebuild // a rejected batch must leave the stream graph untouched
+			}
+			if next()%2 == 0 {
+				assertSameCSR(t, s.Snapshot(), cur)
+			} else {
+				assertSameLookups(t, s, cur, append(ins, del...))
+			}
+		}
+		assertSameCSR(t, s.Snapshot(), cur)
+		if err := cur.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// assertSameLookups fails unless s answers like g — vertex and edge
+// counts, and presence, weight and degree around every given pair —
+// without taking a snapshot.
+func assertSameLookups(t *testing.T, s *Graph, g *graph.CSR, pairs []graph.Edge) {
+	t.Helper()
+	if s.NumVertices() != g.NumVertices() || s.NumEdges() != g.NumUndirectedEdges() {
+		t.Fatalf("counts %d/%d, want %d/%d", s.NumVertices(), s.NumEdges(), g.NumVertices(), g.NumUndirectedEdges())
+	}
+	for _, e := range pairs {
+		if s.HasEdge(e.U, e.V) != g.HasArc(e.U, e.V) || s.Weight(e.U, e.V) != float32(g.ArcWeight(e.U, e.V)) {
+			t.Fatalf("edge {%d,%d}: %v/%g, want %v/%g", e.U, e.V,
+				s.HasEdge(e.U, e.V), s.Weight(e.U, e.V), g.HasArc(e.U, e.V), g.ArcWeight(e.U, e.V))
+		}
+		if s.Degree(e.U) != int(g.Degree(e.U)) {
+			t.Fatalf("degree of %d: %d, want %d", e.U, s.Degree(e.U), g.Degree(e.U))
+		}
+	}
+}
+
+// TestSnapshotSharedBaseIsNeverWritten: FromCSR adopts a canonical
+// input and Snapshot hands out the base it keeps, so later Apply,
+// AddEdge and RemoveEdge calls must build a new CSR and leave every
+// earlier one bit-identical.
+func TestSnapshotSharedBaseIsNeverWritten(t *testing.T) {
+	g, _ := gen.WebGraph(400, 8, 7)
+	gWant := g.Clone()
+	s := FromCSR(g)
+	if s.Snapshot() != g {
+		t.Fatal("a canonical input was not adopted as the base")
+	}
+	ins, del := graph.RandomDelta(g, 20, 20, 3)
+	if err := s.Apply(ins, del); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	snapWant := snap.Clone()
+	if s.Snapshot() != snap {
+		t.Fatal("Snapshot with nothing pending did not return the base")
+	}
+
+	ins, del = graph.RandomDelta(snap, 20, 20, 5)
+	if err := s.Apply(ins, del); err != nil {
+		t.Fatal(err)
+	}
+	es, _ := snap.Neighbors(3)
+	if !s.RemoveEdge(3, es[0]) {
+		t.Fatal("RemoveEdge of a base edge failed")
+	}
+	if err := s.AddEdge(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddEdge(450, 2, 1); err != nil { // grows the vertex set
+		t.Fatal(err)
+	}
+	if next := s.Snapshot(); next == snap || next.NumVertices() != 451 {
+		t.Fatalf("pending mutations gave snapshot %p with %d vertices", next, next.NumVertices())
+	}
+	if !reflect.DeepEqual(g, gWant) || !reflect.DeepEqual(snap, snapWant) {
+		t.Fatal("a later mutation wrote an earlier snapshot")
+	}
+}
+
+// fromCSRReference spells out FromCSR's contract on a map: each arc
+// (i,j), i ≤ j, in storage order, added under AddEdge's rules —
+// non-finite weights skipped, parallel arcs summed, an edge whose sum
+// reaches ≤ 0 cancelled.
+func fromCSRReference(g *graph.CSR) *graph.CSR {
+	ref := map[[2]uint32]float32{}
+	var order [][2]uint32
+	for i := 0; i < g.NumVertices(); i++ {
+		es, ws := g.Neighbors(uint32(i))
+		for k, e := range es {
+			w := ws[k]
+			if uint32(i) > e || math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
+				continue
+			}
+			p := [2]uint32{uint32(i), e}
+			if _, ok := ref[p]; !ok {
+				order = append(order, p)
+			}
+			if sum := ref[p] + w; sum <= 0 {
+				delete(ref, p)
+			} else {
+				ref[p] = sum
+			}
+		}
+	}
+	var edges []graph.Edge
+	for _, p := range order {
+		if w, ok := ref[p]; ok {
+			edges = append(edges, graph.Edge{U: p[0], V: p[1], W: w})
+			delete(ref, p)
+		}
+	}
+	return graph.FromEdges(g.NumVertices(), edges)
+}
+
+// TestFromCSRNonCanonicalInputs: holey, unsorted, duplicate-arc,
+// non-positive-weight and asymmetric (missing or reweighted mirror
+// arcs) inputs are not adopted; they go through the overlay and keep
+// FromCSR's per-arc AddEdge semantics.
+func TestFromCSRNonCanonicalInputs(t *testing.T) {
+	g, _ := gen.SocialNetwork(300, 8, 5, 0.3, 4)
+	n := g.NumVertices()
+	shapes := map[string]func(i int, es []uint32, ws []float32) ([]uint32, []float32){
+		"unsorted": func(i int, es []uint32, ws []float32) ([]uint32, []float32) {
+			slices.Reverse(es)
+			slices.Reverse(ws)
+			return es, ws
+		},
+		"duplicate": func(i int, es []uint32, ws []float32) ([]uint32, []float32) {
+			if len(es) > 0 && i%3 == 0 {
+				es, ws = append(es, es[0]), append(ws, 0.5)
+			}
+			return es, ws
+		},
+		"nonpositive": func(i int, es []uint32, ws []float32) ([]uint32, []float32) {
+			for k := range ws {
+				if (i+k)%4 == 0 {
+					ws[k] = -float32(k % 2) // 0 or -1
 				}
 			}
-			ins = append(ins, e)
+			return es, ws
+		},
+		"asymmetric": func(i int, es []uint32, ws []float32) ([]uint32, []float32) {
+			if len(es) > 0 && i%5 == 0 {
+				return es[1:], ws[1:]
+			}
+			return es, ws
+		},
+		"reweighted": func(i int, es []uint32, ws []float32) ([]uint32, []float32) {
+			if len(ws) > 0 && i%3 == 0 {
+				ws[0] *= 2 // the mirror arc keeps the old weight
+			}
+			return es, ws
+		},
+		"mirrorless": func(i int, es []uint32, ws []float32) ([]uint32, []float32) {
+			// Drop (i,e) when i is e's largest lower neighbour: (e,i) is
+			// then e's last lower arc, and nothing after it can match.
+			for k := len(es) - 1; k >= 0; k-- {
+				e := es[k]
+				if e <= uint32(i) || e%4 != 0 {
+					continue
+				}
+				nb, _ := g.Neighbors(e)
+				if below, _ := slices.BinarySearch(nb, e); nb[below-1] == uint32(i) {
+					es, ws = slices.Delete(es, k, k+1), slices.Delete(ws, k, k+1)
+				}
+			}
+			return es, ws
+		},
+		"holey": func(i int, es []uint32, ws []float32) ([]uint32, []float32) { return es, ws },
+	}
+	for name, shape := range shapes {
+		in := &graph.CSR{Offsets: make([]uint32, n+1)}
+		if name == "holey" {
+			in.Counts = make([]uint32, n)
 		}
-
-		viaRebuild, errRebuild := graph.ApplyDelta(g, ins, del)
-		s := FromCSR(g)
-		before := s.Snapshot()
-		errStream := s.Apply(ins, del)
-
-		if (errRebuild == nil) != (errStream == nil) {
-			t.Fatalf("seed %d: appliers disagree on validity: rebuild=%v stream=%v",
-				seed, errRebuild, errStream)
+		for i := 0; i < n; i++ {
+			es, ws := g.Neighbors(uint32(i))
+			es, ws = shape(i, slices.Clone(es), slices.Clone(ws))
+			in.Edges = append(in.Edges, es...)
+			in.Weights = append(in.Weights, ws...)
+			if in.Counts != nil {
+				in.Counts[i] = uint32(len(es))
+				in.Edges = append(in.Edges, 0, 0) // the hole
+				in.Weights = append(in.Weights, 0, 0)
+			}
+			in.Offsets[i+1] = uint32(len(in.Edges))
 		}
-		if errRebuild != nil {
-			// Rejected batch: the stream graph must be untouched.
-			assertSameCSR(t, s.Snapshot(), before)
-			continue
+		want := fromCSRReference(in)
+		s := FromCSR(in)
+		got := s.Snapshot()
+		if got == in {
+			t.Fatalf("%s: a non-canonical input was adopted", name)
 		}
-		assertSameCSR(t, s.Snapshot(), viaRebuild)
-		if err := viaRebuild.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		assertSameCSR(t, got, want)
+		if s.NumEdges() != want.NumUndirectedEdges() {
+			t.Fatalf("%s: NumEdges %d, want %d", name, s.NumEdges(), want.NumUndirectedEdges())
 		}
 	}
 }

@@ -40,7 +40,9 @@ type ServeStats = serve.StatsResponse
 func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 
 // NewServer builds the initial snapshot synchronously (a cold
-// hierarchy run, oracle-gated) and starts the recompute worker.
+// hierarchy run, oracle-gated) and starts the recompute worker. The
+// server takes g over and never writes it; the caller must not modify
+// it afterwards.
 func NewServer(g *Graph, cfg ServeConfig) (*Server, error) { return serve.New(g, cfg) }
 
 // NewServeClient returns a client for the gveserve instance at base,
