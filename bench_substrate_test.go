@@ -23,7 +23,7 @@ func BenchmarkSubstrate_ExclusiveScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, a)
-		parallel.ExclusiveScanUint32(work, 0)
+		parallel.Default().ExclusiveScanUint32(work, 0)
 	}
 	b.SetBytes(int64(len(a) * 4))
 }

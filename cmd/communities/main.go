@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		graphPath = flag.String("g", "", "graph file (.gvecsr, .mtx, .bin, or edge list)")
+		graphPath = flag.String("g", "", "graph file (.gvecsr, .mtx, or edge list)")
 		membPath  = flag.String("m", "", "membership file ('vertex community' lines); empty = run GVE-Leiden")
 		top       = flag.Int("top", 5, "show the N largest communities")
 		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")

@@ -4,7 +4,6 @@
 //
 //	graphgen -corpus -dir data/           # write all 13 corpus graphs
 //	graphgen -gen web -n 50000 -o web.mtx # one graph, Matrix Market
-//	graphgen -gen road -n 50000 -format bin -o road.bin
 //	graphgen -gen road -n 50000 -o road.gvecsr # mmap-able binary container
 package main
 
@@ -30,7 +29,7 @@ func main() {
 		n       = flag.Int("n", 100000, "vertices")
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		out     = flag.String("o", "", "output file for -gen")
-		format  = flag.String("format", "", "mtx|bin|edges|gvecsr (default from -o extension)")
+		format  = flag.String("format", "", "mtx|edges|gvecsr (default from -o extension)")
 	)
 	flag.Parse()
 
@@ -112,8 +111,6 @@ func write(g *graph.CSR, path, format string) error {
 		switch {
 		case strings.HasSuffix(path, ".mtx"):
 			format = "mtx"
-		case strings.HasSuffix(path, ".bin"):
-			format = "bin"
 		case strings.HasSuffix(path, gvecsr.Ext):
 			format = "gvecsr"
 		default:
@@ -131,8 +128,6 @@ func write(g *graph.CSR, path, format string) error {
 	switch format {
 	case "mtx":
 		return graph.WriteMatrixMarket(f, g)
-	case "bin":
-		return graph.WriteBinary(f, g)
 	case "edges":
 		return graph.WriteEdgeList(f, g)
 	default:

@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gveconvert", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		input    = fs.String("i", "", "input graph file (.gvecsr, .mtx, .bin, or edge list)")
+		input    = fs.String("i", "", "input graph file (.gvecsr, .mtx, or edge list)")
 		output   = fs.String("o", "", "output container path")
 		genName  = fs.String("gen", "", "generate input instead: er|social|web|road|kmer")
 		n        = fs.Int("n", 1000000, "vertices for generated input")

@@ -72,7 +72,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("gveserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	c := &config{}
-	fs.StringVar(&c.input, "i", "", "input graph file (.gvecsr, .mtx, .bin, or edge list)")
+	fs.StringVar(&c.input, "i", "", "input graph file (.gvecsr, .mtx, or edge list)")
 	fs.StringVar(&c.genName, "gen", "", "generate input instead: web|social|road|kmer|er|ba|rmat")
 	fs.IntVar(&c.n, "n", 100000, "vertices for generated input")
 	fs.Uint64Var(&c.seed, "seed", 1, "generator seed")

@@ -38,15 +38,22 @@ const (
 // cancels the edge entirely, and an insertion naming a vertex one past
 // the current maximum grows the graph.
 //
-// g itself is never mutated: the input snapshot stays valid (and, if
-// it came from a memory-mapped container, read-only) while both
-// versions are in use — pass the old membership plus the returned
-// graph to LeidenDynamic for a warm-started update. The rebuild costs
-// O(V+E); for sustained high-rate mutation keep an internal/stream
-// mutable overlay (as cmd/gveserve does) and snapshot per recompute
-// instead of rebuilding the CSR per batch. The same whole-batch
-// semantics (graph.EvaluateDelta) back both paths, so a batch accepted
-// here is accepted there and vice versa.
+// The new graph comes from one linear merge of g's sorted adjacency
+// with the batch's sorted changes, O(V + E + B log B) for a batch of
+// B edges. g itself is never mutated: the input snapshot stays valid
+// (and, if it came from a memory-mapped container, read-only) while
+// both versions are in use — pass the old membership plus the
+// returned graph to LeidenDynamic for a warm-started update.
+//
+// g is first put in canonical form (compact, strictly ascending
+// adjacency, positive finite weights, mirrored arcs), which every
+// generator and every graph ApplyDelta returns already has. Any other
+// g is normalized the way the resident server normalizes its input:
+// parallel arcs (i,j), i ≤ j, are summed in float32 in storage order,
+// pairs whose weight is zero or below are dropped — such an edge
+// cannot be deleted afterwards — and an asymmetric g contributes its
+// upper triangle. The server's ingest path runs the same code, so a
+// batch accepted here is accepted there, with the same result.
 func ApplyDelta(g *Graph, delta Delta) (*Graph, error) {
 	return graph.ApplyDelta(g, delta.Insertions, delta.Deletions)
 }

@@ -103,7 +103,7 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 func FromAdjacency(adj [][]uint32) *Graph { return graph.FromAdjacency(adj) }
 
 // LoadGraph loads a graph from a .gvecsr container (memory-mapped; see
-// storage.go and FORMAT.md), or a .mtx, .bin, or edge-list file.
+// storage.go and FORMAT.md), or a .mtx or edge-list file.
 func LoadGraph(path string) (*Graph, error) {
 	f, err := gvecsr.LoadAny(path)
 	if err != nil {

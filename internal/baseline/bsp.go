@@ -82,7 +82,7 @@ func bspMove(g *graph.CSR, k []float64, m float64, threads, maxIter int, tol flo
 		}
 		var stepMoves atomic.Int64
 		// Decision kernel: all vertices read the frozen comm/sigma.
-		parallel.For(n, threads, 512, func(lo, hi, tid int) {
+		parallel.Default().For(n, threads, 512, func(lo, hi, tid int) {
 			weights := make(map[uint32]float64, 16)
 			var localGain float64
 			for i := lo; i < hi; i++ {
@@ -163,7 +163,7 @@ func bspRefine(g *graph.CSR, k []float64, m float64, bounds []uint32, threads in
 	var total int64
 	for step := 0; step < 8; step++ {
 		var stepMoves atomic.Int64
-		parallel.For(n, threads, 512, func(lo, hi, _ int) {
+		parallel.Default().For(n, threads, 512, func(lo, hi, _ int) {
 			weights := make(map[uint32]float64, 16)
 			for i := lo; i < hi; i++ {
 				u := uint32(i)

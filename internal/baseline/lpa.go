@@ -39,7 +39,7 @@ func LabelPropagation(g *graph.CSR, opt Options) []uint32 {
 	}
 	for it := 0; it < maxIter; it++ {
 		var changes atomic.Int64
-		parallel.For(n, threads, 512, func(lo, hi, tid int) {
+		parallel.Default().For(n, threads, 512, func(lo, hi, tid int) {
 			weights := make(map[uint32]float64, 16)
 			rng := rngs[tid]
 			for i := lo; i < hi; i++ {

@@ -215,7 +215,7 @@ func unguardedRefinePar(g *graph.CSR, k []float64, m float64, bounds []uint32, t
 	var locks stripedLocks
 	var moves atomic.Int64
 	for sweep := 0; sweep < 2; sweep++ {
-		parallel.For(n, threads, 512, func(lo, hi, _ int) {
+		parallel.Default().For(n, threads, 512, func(lo, hi, _ int) {
 			weights := make(map[uint32]float64, 16)
 			for i := lo; i < hi; i++ {
 				u := uint32(i)

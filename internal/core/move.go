@@ -38,7 +38,7 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 		ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
 			h := ws.tables[tid]
 			f := &ws.flats[tid]
-			var local float64
+			var local, realized float64
 			var scanned, pruned, flat, moves int64
 			for i := lo; i < hi; i++ {
 				u := uint32(i)
@@ -50,19 +50,21 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 					ws.flags.Set(i, false) // prune: mark processed
 				}
 				scanned++
-				var dq float64
+				var dq, got float64
 				if !ws.opt.DisableFlatScan && g.Degree(u) <= hashtable.FlatCap {
-					dq = ws.moveVertexFlat(g, f, comm, u)
+					dq, got = ws.moveVertexFlat(g, f, comm, u)
 					flat++
 				} else {
-					dq = ws.moveVertex(g, h, comm, u)
+					dq, got = ws.moveVertex(g, h, comm, u)
 				}
 				if dq > 0 {
 					moves++
 				}
 				local += dq
+				realized += got
 			}
 			ws.dq[tid].V += local
+			ws.rq[tid].V += realized
 			mc := &ws.mc[tid].V
 			mc.scanned += scanned
 			mc.pruned += pruned
@@ -70,8 +72,12 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 			mc.moves += moves
 		})
 		iters++
-		dq := ws.sumDQ()
-		ws.recordIteration(pass, it, dq, ps, sp)
+		// Convergence tests the decision-time gains against τ, as in
+		// Algorithm 2. The stats and observers get the gains the moves
+		// realized (see applyMove): concurrent moves make the estimates
+		// overstate the quality reached, the realized gains do not.
+		dq, realized := ws.sumDQ()
+		ws.recordIteration(pass, it, realized, ps, sp)
 		if dq <= tau { // locally converged?
 			break
 		}
@@ -110,11 +116,11 @@ func (ws *workspace) recordIteration(pass, it int, dq float64, ps *PassStats, sp
 
 // moveVertex examines one vertex: scans the communities connected to it
 // (excluding the self-loop), picks the best move, and applies it
-// atomically. Returns the delta-modularity gained (0 when the vertex
-// stays).
+// atomically. Returns the delta-modularity the move was chosen for and
+// the one it realized (see applyMove); (0, 0) when the vertex stays.
 //
 //gvevet:contract noescape
-func (ws *workspace) moveVertex(g *graph.CSR, h *hashtable.Accumulator, comm []uint32, u uint32) float64 {
+func (ws *workspace) moveVertex(g *graph.CSR, h *hashtable.Accumulator, comm []uint32, u uint32) (float64, float64) {
 	d := commLoad(comm, u)
 	h.Clear()
 	scanCommunities(h, g, comm, u, false)
@@ -136,10 +142,9 @@ func (ws *workspace) moveVertex(g *graph.CSR, h *hashtable.Accumulator, comm []u
 		}
 	}
 	if bestDQ <= 0 || bestC == d {
-		return 0
+		return 0, 0
 	}
-	ws.applyMove(g, comm, u, d, bestC, ki, si)
-	return bestDQ
+	return bestDQ, ws.applyMove(g, comm, u, d, bestC, ki, si, h.Get(bestC)-kid)
 }
 
 // moveVertexFlat is moveVertex for low-degree vertices (degree ≤
@@ -152,7 +157,7 @@ func (ws *workspace) moveVertex(g *graph.CSR, h *hashtable.Accumulator, comm []u
 // picks exactly the community moveVertex would.
 //
 //gvevet:contract noescape
-func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint32, u uint32) float64 {
+func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint32, u uint32) (float64, float64) {
 	d := commLoad(comm, u)
 	f.Reset()
 	es, wts := g.Neighbors(u)
@@ -181,10 +186,9 @@ func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint
 		}
 	}
 	if bestDQ <= 0 || bestC == d {
-		return 0
+		return 0, 0
 	}
-	ws.applyMove(g, comm, u, d, bestC, ki, si)
-	return bestDQ
+	return bestDQ, ws.applyMove(g, comm, u, d, bestC, ki, si, f.Get(bestC)-kid)
 }
 
 // applyMove commits the move of u from community d to bestC: updates
@@ -197,19 +201,46 @@ func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint
 // racy snapshots, which is fine for a pruning heuristic: a stale read
 // at worst re-flags a vertex that rescans and stays put.
 //
+// It returns the gain the move realized rather than the decision-time
+// estimate, which misses whatever other workers changed between u's
+// scan and this commit. The Σ' terms use the values the atomic adds
+// replaced, so they telescope exactly under any interleaving. The edge
+// term kic−kid is taken twice, as scanned (scannedGain) and re-read
+// after the store, and the smaller is kept. A vertex moves at most once
+// per iteration, so a neighbour that moved in between shows its
+// membership at the moment of u's store in one of the two views. With
+// at most one such neighbour the result cannot exceed the gain u's
+// store realized; two neighbours committing on opposite sides of it
+// can push it over by their edge weights, which is rare. Without
+// concurrency both views equal the estimate, and so does the result,
+// bit for bit.
+//
 //gvevet:contract noescape
-func (ws *workspace) applyMove(g *graph.CSR, comm []uint32, u, d, bestC uint32, ki, si float64) {
-	ws.sigma.Add(int(d), -ki) // Σ'[C'[i]] -= K'[i]
-	ws.sigma.Add(int(bestC), ki)
-	ws.csize.Add(int(d), -si)
-	ws.csize.Add(int(bestC), si)
+func (ws *workspace) applyMove(g *graph.CSR, comm []uint32, u, d, bestC uint32, ki, si, scannedGain float64) float64 {
+	sd := ws.sigma.FetchAdd(int(d), -ki) // Σ'[C'[i]] -= K'[i]
+	sc := ws.sigma.FetchAdd(int(bestC), ki)
+	nd := ws.csize.FetchAdd(int(d), -si)
+	nc := ws.csize.FetchAdd(int(bestC), si)
 	commStore(comm, u, bestC)
-	es, _ := g.Neighbors(u)
-	for _, e := range es {
-		if commLoad(comm, e) != bestC {
-			ws.flags.Set(int(e), true)
+	es, wts := g.Neighbors(u)
+	var kic, kid float64
+	for k, e := range es {
+		if e == u {
+			continue
 		}
+		switch commLoad(comm, e) {
+		case bestC:
+			kic += float64(wts[k])
+			continue
+		case d:
+			kid += float64(wts[k])
+		}
+		ws.flags.Set(int(e), true)
 	}
+	if scannedGain < kic-kid {
+		kic, kid = scannedGain, 0
+	}
+	return ws.delta(kic, kid, ki, sc, sd, si, nc, nd)
 }
 
 // scanCommunities accumulates, into h, the total edge weight between

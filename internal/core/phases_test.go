@@ -6,7 +6,6 @@ import (
 
 	"gveleiden/internal/gen"
 	"gveleiden/internal/graph"
-	"gveleiden/internal/parallel"
 	"gveleiden/internal/quality"
 )
 
@@ -17,8 +16,8 @@ func setupPass(g *graph.CSR, opt Options) *workspace {
 	ws := newWorkspace(g, opt)
 	n := g.NumVertices()
 	ws.vertexWeights(g, ws.k[:n])
-	ws.m = parallel.SumFloat64(ws.k[:n], opt.Threads) / 2
-	parallel.FillFloat64(ws.vsize[:n], 1, opt.Threads)
+	ws.m = opt.Pool.SumFloat64(ws.k[:n], opt.Threads) / 2
+	opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
 	ws.initialCommunities(n, false)
 	return ws
 }
@@ -71,7 +70,7 @@ func TestRefinementIsRefinementOfBounds(t *testing.T) {
 		n := g.NumVertices()
 		ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
 		copy(ws.bounds[:n], ws.comm[:n])
-		parallel.Iota(ws.comm[:n], ws.opt.Threads)
+		ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
 		ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
 		ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
 		ws.refinePhase(g)
@@ -90,7 +89,7 @@ func TestRefinementSubCommunitiesConnected(t *testing.T) {
 	n := g.NumVertices()
 	ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
 	copy(ws.bounds[:n], ws.comm[:n])
-	parallel.Iota(ws.comm[:n], ws.opt.Threads)
+	ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
 	ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
 	ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
 	ws.refinePhase(g)
@@ -105,7 +104,7 @@ func TestRefineSigmaConsistent(t *testing.T) {
 	n := g.NumVertices()
 	ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
 	copy(ws.bounds[:n], ws.comm[:n])
-	parallel.Iota(ws.comm[:n], ws.opt.Threads)
+	ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
 	ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
 	ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
 	ws.refinePhase(g)
@@ -130,7 +129,7 @@ func TestAggregatePreservesWeightAndModularity(t *testing.T) {
 	n := g.NumVertices()
 	ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
 	copy(ws.bounds[:n], ws.comm[:n])
-	parallel.Iota(ws.comm[:n], ws.opt.Threads)
+	ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
 	ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
 	ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
 	ws.refinePhase(g)

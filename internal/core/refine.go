@@ -12,7 +12,9 @@ import (
 // holds nothing but them, detected by Σ'[c] == K'[i]) may merge into a
 // neighbouring sub-community within their community bound C'_B. A
 // compare-and-swap on Σ'[c] claims the vertex, so two neighbours cannot
-// both leave and join each other. This splits internally-disconnected
+// both leave and join each other, and a vertex joins only a
+// sub-community that still holds a vertex (AddIfNonZero), so none is
+// joined after its anchor left. This splits internally-disconnected
 // communities from the local-moving phase and never creates new ones.
 //
 // Returns the number of vertices that changed sub-community.
@@ -46,9 +48,17 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 			if !ok || target == c {
 				continue
 			}
-			// Claim the vertex: succeed only if still alone in c.
+			// Claim the vertex: succeed only if still alone in c. Then
+			// join target only while it is occupied: Σ'[target] is zero
+			// once its only vertex has claimed itself away, and joining
+			// then could leave target holding vertices with no edge
+			// between them. Backing out restores c, which no one could
+			// join while its Σ' read zero.
 			if ws.sigma.CAS(int(c), ki, 0) {
-				ws.sigma.Add(int(target), ki)
+				if !ws.sigma.AddIfNonZero(int(target), ki) {
+					ws.sigma.Set(int(c), ki)
+					continue
+				}
 				si := ws.vsize[u]
 				ws.csize.Add(int(c), -si)
 				ws.csize.Add(int(target), si)

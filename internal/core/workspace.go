@@ -56,7 +56,8 @@ type workspace struct {
 	scratch []uint32           // renumbering / existence buffer
 	cursor  []uint32           // aggregation placement cursors
 	flags   *parallel.Flags
-	dq      []parallel.Padded[float64] // per-thread ΔQ partial sums
+	dq      []parallel.Padded[float64] // per-thread ΔQ partial sums (decision-time gains)
+	rq      []parallel.Padded[float64] // per-thread realized-ΔQ partial sums (asynchronous moves)
 	moved   []parallel.Padded[int64]   // per-thread refinement move counters
 	mc      []mcSlot                   // per-thread local-moving work counters
 	agg     []parallel.Padded[int64]   // per-thread aggregation arc counters
@@ -103,6 +104,7 @@ func newWorkspace(g *graph.CSR, opt Options) *workspace {
 		cursor:  make([]uint32, n+1),
 		flags:   parallel.NewFlags(n),
 		dq:      make([]parallel.Padded[float64], t),
+		rq:      make([]parallel.Padded[float64], t),
 		moved:   make([]parallel.Padded[int64], t),
 		mc:      make([]mcSlot, t),
 		agg:     make([]parallel.Padded[int64], t),
@@ -283,17 +285,20 @@ func atomicMinUint32(addr *uint32, v uint32) {
 	}
 }
 
-func (ws *workspace) sumDQ() float64 {
-	var s float64
+// sumDQ returns one local-moving iteration's summed decision-time and
+// realized gains.
+func (ws *workspace) sumDQ() (dq, realized float64) {
 	for i := range ws.dq {
-		s += ws.dq[i].V
+		dq += ws.dq[i].V
+		realized += ws.rq[i].V
 	}
-	return s
+	return dq, realized
 }
 
 func (ws *workspace) zeroDQ() {
 	for i := range ws.dq {
 		ws.dq[i].V = 0
+		ws.rq[i].V = 0
 	}
 }
 

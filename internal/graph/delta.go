@@ -1,13 +1,26 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
-// Unified delta semantics, shared verbatim by ApplyDelta (CSR rebuild)
-// and stream.Graph.Apply (in-place overlay) so the two ingest paths of
-// the dynamic pipeline cannot drift apart:
+// Delta application. The dynamic pipeline applies batches two ways —
+// ApplyDelta turns one CSR plus one batch into the next CSR, and
+// stream.Graph collects batches in an overlay until Snapshot — and both
+// run the same code, so they cannot drift apart: Canonical normalizes
+// the input graph, EvaluateDelta validates a batch and computes the
+// final state of every pair it touches, and MergeDelta writes those
+// states into the next canonical CSR in one linear pass.
+//
+// A CSR is canonical when it is compact, every adjacency list is
+// strictly ascending, every weight is positive and finite, and every
+// arc (i,j), i ≠ j, is mirrored by an arc (j,i) of the same weight.
+// The generators and MergeDelta produce canonical CSRs.
+//
+// The unified delta semantics:
 //
 //  1. Deletions apply first, then insertions — a batch that deletes and
 //     re-inserts the same edge replaces its weight.
@@ -18,9 +31,9 @@ import (
 //     must stay finite in float32; violations fail the whole batch.
 //  4. An insertion that drives an edge's summed weight to zero or below
 //     cancels the edge entirely — it is removed, and a later insertion
-//     for the same pair starts fresh from zero. This keeps the ingest
-//     paths from emitting CSRs the readers' weight validation
-//     (checkWeight, PR 4) would reject.
+//     for the same pair starts fresh from zero. The dynamic pipeline's
+//     graph therefore never holds a pair of weight ≤ 0, so every CSR it
+//     builds stays canonical.
 //  5. Insertions grow the vertex set to cover new endpoints, even when
 //     the inserted edge itself is cancelled within the batch.
 //
@@ -53,9 +66,9 @@ type DeltaState struct {
 // mutating anything. weight reports the current weight of the edge
 // {u, v} and whether it exists; it is never called with endpoints the
 // graph cannot answer for (out-of-range ids simply report absence).
-// The float32 accumulation order matches stream.Graph.AddEdge exactly,
-// so applying the returned states reproduces a sequential replay bit
-// for bit.
+// Each pair's weight is summed in float32 in batch order, so applying
+// the returned states reproduces a sequential replay of the
+// insertions bit for bit.
 func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletions []Edge) (map[uint64]DeltaState, error) {
 	touched := make(map[uint64]DeltaState, len(insertions)+len(deletions))
 	for _, e := range deletions {
@@ -96,68 +109,187 @@ func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletio
 // applied to g under the unified delta semantics above (the weight
 // field of a deletion is ignored). A batch that names a missing or
 // duplicate deletion, or carries a non-finite weight, returns an error
-// and no graph.
+// and no graph. g is never written.
 //
 // This is the snapshot-update primitive behind the dynamic Leiden
 // variants (core.LeidenDynamic): batch updates between runs, warm-start
-// from the previous membership. stream.Graph.Apply + Snapshot produces
-// an identical CSR for the same batch.
+// from the previous membership. It normalizes g (Canonical), evaluates
+// the batch against binary-searched lookups, and merges the result in
+// one linear pass (MergeDelta) — the steps stream.Graph runs too, so
+// stream.Graph's FromCSR, Apply and Snapshot yield the same CSR, or the
+// same error, for the same g and batch.
 func ApplyDelta(g *CSR, insertions, deletions []Edge) (*CSR, error) {
-	gn := g.NumVertices()
-	lookup := func(u, v uint32) (float32, bool) {
-		if int(u) >= gn {
-			return 0, false
-		}
-		es, ws := g.Neighbors(u)
-		var t float32
-		found := false
-		for k, e := range es {
-			if e == v {
-				t += ws[k]
-				found = true
-			}
-		}
-		return t, found
-	}
-	touched, err := EvaluateDelta(lookup, insertions, deletions)
+	base, _ := Canonical(g)
+	touched, err := EvaluateDelta(base.FindArc, insertions, deletions)
 	if err != nil {
 		return nil, err
 	}
-	n := gn
+	n := base.NumVertices()
 	for _, e := range insertions {
-		if int(e.U) >= n {
-			n = int(e.U) + 1
-		}
-		if int(e.V) >= n {
-			n = int(e.V) + 1
-		}
+		n = max(n, int(e.U)+1, int(e.V)+1)
 	}
-	b := NewBuilder(n)
+	return MergeDelta(base, n, touched), nil
+}
+
+// Canonical returns g itself, with its undirected edge count (loops
+// count once), when g is canonical. Otherwise it builds the canonical
+// graph g describes: each arc (i,j), i ≤ j, is read in storage order
+// and added to its pair's weight in float32; a sum of zero or below
+// cancels the pair, and a non-finite weight or an overflowing sum is
+// skipped. A mirror arc (j,i), j > i, is never read, so an asymmetric g
+// yields its upper triangle, and a target id past the vertex count
+// grows it.
+func Canonical(g *CSR) (*CSR, int64) {
+	if edges, ok := isCanonical(g); ok {
+		return g, edges
+	}
+	gn := g.NumVertices()
+	n := gn
+	states := map[uint64]DeltaState{}
 	for i := 0; i < gn; i++ {
 		es, ws := g.Neighbors(uint32(i))
 		for k, e := range es {
-			if uint32(i) > e {
-				continue // emit each undirected edge once
+			if uint32(i) > e || checkWeight(float64(ws[k])) != nil {
+				continue
 			}
-			if _, hit := touched[PairKey(uint32(i), e)]; hit {
-				continue // deleted, or re-emitted below with its final weight
+			key := PairKey(uint32(i), e)
+			sum := states[key].W + ws[k]
+			if checkWeight(float64(sum)) != nil {
+				continue
 			}
-			b.AddEdge(uint32(i), e, ws[k])
+			n = max(n, int(e)+1)
+			if sum <= 0 {
+				states[key] = DeltaState{}
+			} else {
+				states[key] = DeltaState{Present: true, W: sum}
+			}
 		}
 	}
-	keys := make([]uint64, 0, len(touched))
-	//gvevet:ignore nodeterm the keys are sorted below before anything consumes them
-	for k := range touched {
-		keys = append(keys, k)
+	c := MergeDelta(&CSR{Offsets: make([]uint32, 1)}, n, states)
+	return c, c.NumUndirectedEdges()
+}
+
+// isCanonical reports whether g is canonical, and its undirected edge
+// count if so. One pass with one cursor per vertex checks the mirror
+// arcs: visiting vertices in ascending order, the arc (j,i) of every
+// arc (i,j), j > i, must be the next unmatched arc of j's list, and
+// every arc (i,x), x < i, must have been matched before i is reached.
+func isCanonical(g *CSR) (int64, bool) {
+	n := g.NumVertices()
+	if g.Counts != nil || g.Offsets[0] != 0 || int(g.Offsets[n]) != len(g.Edges) || len(g.Weights) != len(g.Edges) {
+		return 0, false
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if st := touched[k]; st.Present {
-			u, v := SplitPairKey(k)
-			b.AddEdge(u, v, st.W)
+	for i := 0; i < n; i++ {
+		if g.Offsets[i] > g.Offsets[i+1] {
+			return 0, false
 		}
 	}
-	return b.Build(), nil
+	next := make([]uint32, n)
+	copy(next, g.Offsets[:n])
+	var loops int64
+	for i := 0; i < n; i++ {
+		lo, hi := g.Offsets[i], g.Offsets[i+1]
+		if next[i] < hi && g.Edges[next[i]] < uint32(i) {
+			return 0, false
+		}
+		for k := lo; k < hi; k++ {
+			e, w := g.Edges[k], g.Weights[k]
+			if int(e) >= n || !(w > 0 && w <= math.MaxFloat32) || (k > lo && g.Edges[k-1] >= e) {
+				return 0, false
+			}
+			switch {
+			case e == uint32(i):
+				loops++
+			case e > uint32(i):
+				m := next[e]
+				if m >= g.Offsets[e+1] || g.Edges[m] != uint32(i) || g.Weights[m] != w {
+					return 0, false
+				}
+				next[e]++
+			}
+		}
+	}
+	return (int64(len(g.Edges))-loops)/2 + loops, true
+}
+
+// FindArc returns the weight of the arc (u,v) and whether it exists,
+// binary-searching u's list; g must have strictly ascending adjacency
+// (a canonical g does). A u past the vertex count reports absence.
+func (g *CSR) FindArc(u, v uint32) (float32, bool) {
+	if int(u) >= g.NumVertices() {
+		return 0, false
+	}
+	es, ws := g.Neighbors(u)
+	if k, ok := slices.BinarySearch(es, v); ok {
+		return ws[k], true
+	}
+	return 0, false
+}
+
+// arc is one direction of a pair state, keyed src<<32 | dst so that
+// sorting by key orders arcs by source, then target.
+type arc struct {
+	key uint64
+	st  DeltaState
+}
+
+// MergeDelta returns the canonical CSR over n vertices (n at least
+// base's vertex count) that results from setting every pair in states
+// to its state on the canonical base: each vertex's base list merged
+// with its sorted state arcs, a state arc replacing the base arc with
+// the same target. One linear pass after sorting the arcs, so
+// O(N + M + P log P) for P pairs; base is only read, and n must cover
+// every endpoint in states.
+func MergeDelta(base *CSR, n int, states map[uint64]DeltaState) *CSR {
+	arcs := make([]arc, 0, 2*len(states))
+	grow := 0
+	//gvevet:ignore nodeterm the arcs are sorted by their distinct keys below, and grow is an order-free count
+	for k, st := range states {
+		u, v := SplitPairKey(k)
+		arcs = append(arcs, arc{uint64(u)<<32 | uint64(v), st})
+		if u != v {
+			arcs = append(arcs, arc{uint64(v)<<32 | uint64(u), st})
+		}
+		if st.Present {
+			grow += 2
+		}
+	}
+	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Compare(a.key, b.key) })
+
+	capacity := len(base.Edges) + grow
+	out := &CSR{
+		Offsets: make([]uint32, n+1),
+		Edges:   make([]uint32, 0, capacity),
+		Weights: make([]float32, 0, capacity),
+	}
+	a := 0
+	for i := 0; i < n; i++ {
+		var es []uint32
+		var ws []float32
+		if i < base.NumVertices() {
+			es, ws = base.Neighbors(uint32(i))
+		}
+		b := 0
+		for ; a < len(arcs) && int(arcs[a].key>>32) == i; a++ {
+			dst, st := uint32(arcs[a].key), arcs[a].st
+			for b < len(es) && es[b] < dst {
+				out.Edges = append(out.Edges, es[b])
+				out.Weights = append(out.Weights, ws[b])
+				b++
+			}
+			if b < len(es) && es[b] == dst {
+				b++
+			}
+			if st.Present {
+				out.Edges = append(out.Edges, dst)
+				out.Weights = append(out.Weights, st.W)
+			}
+		}
+		out.Edges = append(out.Edges, es[b:]...)
+		out.Weights = append(out.Weights, ws[b:]...)
+		out.Offsets[i+1] = uint32(len(out.Edges))
+	}
+	return out
 }
 
 // RandomDelta derives a reproducible random batch of updates from g for

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -75,24 +74,6 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v\ninput: %q", err, input)
-		}
-	})
-}
-
-func FuzzReadBinary(f *testing.F) {
-	var good bytes.Buffer
-	_ = WriteBinary(&good, FromAdjacency([][]uint32{{1}, {0}}))
-	f.Add(good.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0x43, 0x45, 0x56, 0x47, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Fuzz(func(t *testing.T, input []byte) {
-		g, err := ReadBinary(bytes.NewReader(input))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted binary graph fails validation: %v", err)
 		}
 	})
 }

@@ -4,12 +4,12 @@
 // generators' target representation, text I/O, and connectivity
 // utilities.
 //
-// The text readers and writers here (Matrix Market, edge list, the
-// legacy .bin dump) are the conversion import path: they validate as
-// they parse and exist so cmd/gveconvert can ingest external data.
-// The storage format proper — the versioned, checksummed, mmap-ready
-// .gvecsr container every CLI and the server load through — lives in
-// the gvecsr subpackage; see FORMAT.md for the byte-level spec.
+// The text readers and writers here (Matrix Market, edge list) are the
+// conversion import path: they validate as they parse and exist so
+// cmd/gveconvert can ingest external data. The storage format proper —
+// the versioned, checksummed, mmap-ready .gvecsr container every CLI
+// and the server load through — lives in the gvecsr subpackage; see
+// FORMAT.md for the byte-level spec.
 //
 // Conventions (matching the paper, §3 and §5.1.2):
 //

@@ -103,11 +103,11 @@ func newFile(path string, data []byte, mapped bool) (*File, error) {
 
 // LoadAny opens a graph dataset of any supported format, dispatching
 // on the gvecsr magic (sniffed, so the extension is advisory):
-// containers are memory-mapped via Open, while MatrixMarket (.mtx),
-// legacy binary (.bin) and edge-list files go through the parsing
-// loaders of internal/graph, whose cost scales with the text, not the
-// graph. This is the single entry point the CLI tools, the benchmarks
-// and the server load datasets through.
+// containers are memory-mapped via Open, while MatrixMarket (.mtx)
+// and edge-list files go through the parsing loaders of
+// internal/graph, whose cost scales with the text, not the graph.
+// This is the single entry point the CLI tools, the benchmarks and the
+// server load datasets through.
 func LoadAny(path string) (*File, error) {
 	isContainer := strings.HasSuffix(path, Ext)
 	if !isContainer {

@@ -1,15 +1,14 @@
 package graph
 
-// Text and legacy-binary graph I/O — the conversion import path. These
-// readers parse and validate external formats (Matrix Market, edge
-// lists, the pre-container .bin dump); the repo's own storage format
-// is the gvecsr subpackage's container, which loads without parsing.
-// gvecsr.LoadAny dispatches to the readers here for non-container
-// inputs, so they remain the way external data enters the system.
+// Text graph I/O — the conversion import path. These readers parse and
+// validate external formats (Matrix Market, edge lists); the repo's
+// own storage format is the gvecsr subpackage's container, which loads
+// without parsing. gvecsr.LoadAny dispatches to the readers here for
+// non-container inputs, so they remain the way external data enters
+// the system.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -202,107 +201,6 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 	return bw.Flush()
 }
 
-// binaryMagic identifies the native binary CSR format.
-const binaryMagic = 0x47564543 // "GVEC"
-
-// WriteBinary writes g in the native little-endian binary CSR format
-// (magic, n, arc count, offsets, edges, weights). Holey graphs are
-// compacted first.
-func WriteBinary(w io.Writer, g *CSR) error {
-	g = g.Compact()
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{binaryMagic, uint32(g.NumVertices()), uint32(len(g.Edges))}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Edges); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Weights); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading binary header: %w", err)
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("graph: bad binary magic %#x", hdr[0])
-	}
-	n, m := int(hdr[1]), int(hdr[2])
-	if n >= MaxVertices || m < 0 {
-		return nil, fmt.Errorf("graph: implausible binary header: n=%d m=%d", n, m)
-	}
-	// Read through growing buffers rather than one up-front allocation,
-	// so a corrupt header claiming billions of entries fails fast on
-	// EOF instead of allocating gigabytes.
-	offsets, err := readUint32s(br, n+1)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading offsets: %w", err)
-	}
-	edges, err := readUint32s(br, m)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edges: %w", err)
-	}
-	weightBits, err := readUint32s(br, m)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading weights: %w", err)
-	}
-	weights := make([]float32, m)
-	for i, b := range weightBits {
-		w := math.Float32frombits(b)
-		if err := checkWeight(float64(w)); err != nil {
-			return nil, fmt.Errorf("graph: binary weight %d: %w", i, err)
-		}
-		weights[i] = w
-	}
-	g := &CSR{Offsets: offsets, Edges: edges, Weights: weights}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// readUint32s reads exactly count little-endian uint32 values,
-// allocating incrementally (1 MiB chunks) so corrupt size fields cannot
-// trigger huge up-front allocations.
-func readUint32s(r io.Reader, count int) ([]uint32, error) {
-	const chunk = 1 << 18 // 256 Ki values = 1 MiB per read
-	out := make([]uint32, 0, min(count, chunk))
-	buf := make([]byte, 4*chunk)
-	remaining := count
-	for remaining > 0 {
-		take := remaining
-		if take > chunk {
-			take = chunk
-		}
-		b := buf[:4*take]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, binary.LittleEndian.Uint32(b[4*i:]))
-		}
-		remaining -= take
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func max64(a, b uint64) uint64 {
 	if a > b {
 		return a
@@ -325,19 +223,15 @@ func checkWeight(w float64) error {
 }
 
 // LoadFile loads a graph from path, dispatching on extension: .mtx →
-// MatrixMarket, .bin → native binary, anything else → edge list.
+// MatrixMarket, anything else → edge list.
 func LoadFile(path string) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".mtx"):
+	if strings.HasSuffix(path, ".mtx") {
 		return ReadMatrixMarket(f)
-	case strings.HasSuffix(path, ".bin"):
-		return ReadBinary(f)
-	default:
-		return ReadEdgeList(f)
 	}
+	return ReadEdgeList(f)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -123,50 +124,6 @@ func TestEdgeListCommentsAndErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := FromAdjacency([][]uint32{{1, 2}, {0, 2}, {0, 1}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, r) {
-		t.Fatal("binary round trip changed the graph")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("nonsense")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestBinaryCompactsHoley(t *testing.T) {
-	holey := &CSR{
-		Offsets: []uint32{0, 3, 5},
-		Counts:  []uint32{1, 1},
-		Edges:   []uint32{1, 9, 9, 0, 9},
-		Weights: []float32{1, 0, 0, 1, 0},
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, holey); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumArcs() != 2 {
-		t.Fatalf("arcs = %d, want 2 (gaps dropped)", r.NumArcs())
-	}
-}
-
 func TestLoadFileDispatch(t *testing.T) {
 	dir := t.TempDir()
 	g := FromAdjacency([][]uint32{{1}, {0, 2}, {1}})
@@ -182,23 +139,6 @@ func TestLoadFileDispatch(t *testing.T) {
 	f.Close()
 	if _, err := LoadFile(mtx); err != nil {
 		t.Fatalf("mtx load: %v", err)
-	}
-
-	bin := filepath.Join(dir, "g.bin")
-	f, err = os.Create(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, err := LoadFile(bin)
-	if err != nil {
-		t.Fatalf("bin load: %v", err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("binary LoadFile mismatch")
 	}
 
 	txt := filepath.Join(dir, "g.txt")
@@ -296,15 +236,27 @@ func TestEdgeListRejectsHugeIDs(t *testing.T) {
 	}
 }
 
-func TestBinaryRejectsNonFiniteWeights(t *testing.T) {
+// TestLoadFileRejectsLegacyBinary: the pre-container binary dump
+// (magic "GVEC", vertex and arc counts, then offsets, targets and
+// weights as little-endian 32-bit words) is no longer a format, so a
+// .bin file in that layout fails to load instead of parsing as a graph.
+func TestLoadFileRejectsLegacyBinary(t *testing.T) {
+	g := FromAdjacency([][]uint32{{1}, {0, 2}, {1}})
 	var buf bytes.Buffer
-	g := FromAdjacency([][]uint32{{1}, {0}})
-	g.Weights[0] = float32(math.NaN())
-	g.Weights[1] = float32(math.NaN())
-	if err := WriteBinary(&buf, g); err != nil {
+	words := []uint32{0x47564543, uint32(g.NumVertices()), uint32(len(g.Edges))}
+	words = append(words, g.Offsets...)
+	words = append(words, g.Edges...)
+	for _, w := range g.Weights {
+		words = append(words, math.Float32bits(w))
+	}
+	if err := binary.Write(&buf, binary.LittleEndian, words); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("NaN weights accepted by ReadBinary")
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadFile(path); err == nil {
+		t.Fatalf("a legacy binary file loaded as a %d-vertex graph", got.NumVertices())
 	}
 }

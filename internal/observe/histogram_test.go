@@ -80,8 +80,21 @@ func TestHistogramObserveSnapshot(t *testing.T) {
 	if bucketTotal != snap.Count {
 		t.Fatalf("bucket total %d ≠ Count %d", bucketTotal, snap.Count)
 	}
-	if math.Abs(snap.Sum-wantSum) > 1e-9 {
-		t.Fatalf("Sum = %g, want %g", snap.Sum, wantSum)
+	// Observe spreads the values over shards at random, so Sum adds
+	// them up in a varying order. The eight values are non-negative, so
+	// every partial sum is at most the total, and each of the seven
+	// roundings in Sum or in wantSum errs by at most half an ulp of the
+	// total: the two differ by at most 7 ulps of wantSum, about 8e-7
+	// here. That is far below the smallest value, 0.001, so a value
+	// dropped or counted twice still fails the check.
+	tol := 8 * (math.Nextafter(wantSum, math.Inf(1)) - wantSum)
+	if math.Abs(snap.Sum-wantSum) > tol {
+		t.Fatalf("Sum = %g, want %g within %g", snap.Sum, wantSum, tol)
+	}
+	for _, v := range append(values, 2.0) {
+		if v != 0 && math.Abs(snap.Sum-(wantSum-v)) <= tol {
+			t.Fatalf("Sum = %g passes the bound even against the sum without %g", snap.Sum, v)
+		}
 	}
 	if snap.Counts[bucketIndex(0.001)] != 2 {
 		t.Errorf("0.001 bucket = %d, want 2", snap.Counts[bucketIndex(0.001)])

@@ -45,6 +45,38 @@ func (f *Float64s) Add(i int, delta float64) float64 {
 	}
 }
 
+// FetchAdd is Add returning the value element i held just before the
+// add, bit-exact (recovering it as Add's result minus delta would
+// round). The local-moving phase reads Σ' this way to measure the gain
+// its own update realized.
+func (f *Float64s) FetchAdd(i int, delta float64) float64 {
+	for {
+		old := atomic.LoadUint64(&f.bits[i])
+		val := math.Float64frombits(old)
+		if atomic.CompareAndSwapUint64(&f.bits[i], old, math.Float64bits(val+delta)) {
+			return val
+		}
+	}
+}
+
+// AddIfNonZero atomically adds delta to element i unless the element is
+// zero (either sign), reporting whether the add happened. The
+// refinement phase joins a sub-community through it: Σ'[c] is zero
+// exactly when c's only vertex has left it, and nothing may join an
+// emptied sub-community.
+func (f *Float64s) AddIfNonZero(i int, delta float64) bool {
+	for {
+		old := atomic.LoadUint64(&f.bits[i])
+		val := math.Float64frombits(old)
+		if val == 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(&f.bits[i], old, math.Float64bits(val+delta)) {
+			return true
+		}
+	}
+}
+
 // CAS atomically replaces element i with new if it currently equals old,
 // reporting whether the swap happened. This is the atomicCAS of
 // Algorithm 3, which claims an isolated vertex's singleton community by

@@ -3,6 +3,7 @@ package parallel
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -110,6 +111,88 @@ func TestFloat64sConcurrentAdd(t *testing.T) {
 	}
 	if total != workers*per {
 		t.Fatalf("concurrent adds lost updates: total %v, want %d", total, workers*per)
+	}
+}
+
+func TestFloat64sFetchAdd(t *testing.T) {
+	f := NewFloat64s(1)
+	// a+b rounds, so old = new − delta would not give a back.
+	a, b := 0.1, 0.2
+	f.Set(0, a)
+	if old := f.FetchAdd(0, b); old != a {
+		t.Fatalf("FetchAdd returned %v, want the previous %v", old, a)
+	}
+	if got := f.Get(0); got != a+b || got-b == a {
+		t.Fatalf("after FetchAdd: %v, want %v (and a rounded sum)", got, a+b)
+	}
+
+	// Concurrent FetchAdds of 1 from 0 hand out every previous value
+	// 0..n−1 exactly once: the adds are linearized.
+	const workers, per = 8, 2000
+	f.Set(0, 0)
+	seen := make([]int32, workers*per)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				atomic.AddInt32(&seen[int(f.FetchAdd(0, 1))], 1)
+			}
+		}()
+	}
+	wg.Wait()
+	for v := range seen {
+		if c := atomic.LoadInt32(&seen[v]); c != 1 {
+			t.Fatalf("previous value %d returned %d times", v, c)
+		}
+	}
+}
+
+func TestFloat64sAddIfNonZero(t *testing.T) {
+	f := NewFloat64s(3)
+	f.Set(0, 2)
+	if !f.AddIfNonZero(0, 1.5) || f.Get(0) != 3.5 {
+		t.Fatalf("add to a nonzero element: ok=false or value %v", f.Get(0))
+	}
+	if f.AddIfNonZero(1, 1) || f.Get(1) != 0 {
+		t.Fatalf("add to +0 must be refused and leave it 0, got %v", f.Get(1))
+	}
+	f.Set(2, negZero())
+	if f.AddIfNonZero(2, 1) {
+		t.Fatal("add to -0 must be refused")
+	}
+
+	// Emptying races joining: once the CAS to zero wins, every later
+	// conditional add is refused, so the final value is either the
+	// emptied 0 (claim won before any join) or 1 plus the joins.
+	for round := 0; round < 200; round++ {
+		f.Set(0, 1)
+		var joined atomic.Int32
+		var claimed atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if f.AddIfNonZero(0, 2) {
+					joined.Add(1)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claimed.Store(f.CAS(0, 1, 0))
+		}()
+		wg.Wait()
+		got, j := f.Get(0), float64(joined.Load())
+		if claimed.Load() && (j != 0 || got != 0) {
+			t.Fatalf("round %d: claim won but %v joins landed (value %v)", round, j, got)
+		}
+		if !claimed.Load() && got != 1+2*j {
+			t.Fatalf("round %d: value %v, want 1+2·%v", round, got, j)
+		}
 	}
 }
 

@@ -5,10 +5,12 @@
 // — plus parallel prefix sums, parallel reductions, and atomic float64
 // arithmetic.
 //
-// The free functions in this file are thin wrappers over the shared
-// process-default pool (Default), so existing call sites get persistent
-// workers transparently; performance-critical paths thread an explicit
-// *Pool instead so one algorithm run reuses one set of workers
+// Every parallel primitive names the *Pool it runs on, as its receiver
+// (Pool.For, Pool.FillUint32, ...) or its first argument
+// (ExclusiveScanOn, SumFloat64On); SpawnFor, the pool-free baseline,
+// is the one exception. Callers that do not own a pool use the shared
+// process-default one (Default); performance-critical paths thread an
+// explicit *Pool so one algorithm run reuses one set of workers
 // end-to-end.
 //
 // All primitives accept an explicit thread count so that strong-scaling
@@ -33,62 +35,11 @@ func DefaultThreads() int {
 // per-vertex work (power-law degrees).
 const DefaultGrain = 1024
 
-// For runs body(lo, hi, tid) over chunked sub-ranges of [0, n) on the
-// default pool. See Pool.For for the scheduling contract.
-func For(n, threads, grain int, body func(lo, hi, tid int)) {
-	Default().For(n, threads, grain, body)
-}
-
 // SpawnFor runs a parallel-for by spawning fresh goroutines over a
 // shared atomic chunk cursor — the pre-pool runtime, kept as the
 // baseline for the pool-vs-spawn benchmarks and as the fallback for
 // regions submitted while a pool is busy or closed. Same contract as
-// For.
+// Pool.For.
 func SpawnFor(n, threads, grain int, body func(lo, hi, tid int)) {
 	forSpawn(n, threads, grain, body)
-}
-
-// ForEach runs body(i, tid) for every i in [0, n) on the default pool.
-func ForEach(n, threads, grain int, body func(i, tid int)) {
-	Default().ForEach(n, threads, grain, body)
-}
-
-// Blocks runs body(block, lo, hi) for `threads` contiguous equal blocks
-// of [0, n) on the default pool — the deterministic static partition
-// used by the two-pass parallel scans.
-func Blocks(n, threads int, body func(block, lo, hi int)) {
-	Default().Blocks(n, threads, body)
-}
-
-// ExclusiveScanUint32 replaces a with its exclusive prefix sum and
-// returns the total, on the default pool.
-func ExclusiveScanUint32(a []uint32, threads int) uint32 {
-	return ExclusiveScanOn(Default(), a, threads)
-}
-
-// ExclusiveScanInt64 is ExclusiveScanUint32 for int64 slices.
-func ExclusiveScanInt64(a []int64, threads int) int64 {
-	return ExclusiveScanOn(Default(), a, threads)
-}
-
-// SumFloat64 reduces a on the default pool. Per-block partial sums keep
-// the float rounding deterministic for a fixed thread count.
-func SumFloat64(a []float64, threads int) float64 {
-	return SumFloat64On(Default(), a, threads)
-}
-
-// FillUint32 sets every element of a to v, in parallel.
-func FillUint32(a []uint32, v uint32, threads int) {
-	Default().FillUint32(a, v, threads)
-}
-
-// FillFloat64 sets every element of a to v, in parallel.
-func FillFloat64(a []float64, v float64, threads int) {
-	Default().FillFloat64(a, v, threads)
-}
-
-// Iota fills a with the identity permutation a[i] = i, in parallel.
-// This is the `C' ← [0..|V'|)` initialization in Algorithm 1.
-func Iota(a []uint32, threads int) {
-	Default().Iota(a, threads)
 }

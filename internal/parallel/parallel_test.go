@@ -20,7 +20,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 		{5000, 16, 3},
 	} {
 		counts := make([]int32, tc.n)
-		For(tc.n, tc.threads, tc.grain, func(lo, hi, tid int) {
+		Default().For(tc.n, tc.threads, tc.grain, func(lo, hi, tid int) {
 			if lo < 0 || hi > tc.n || lo > hi {
 				t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, tc.n)
 			}
@@ -39,7 +39,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForTidInRange(t *testing.T) {
 	const threads = 6
-	For(10000, threads, 16, func(lo, hi, tid int) {
+	Default().For(10000, threads, 16, func(lo, hi, tid int) {
 		if tid < 0 || tid >= threads {
 			t.Errorf("tid %d out of [0,%d)", tid, threads)
 		}
@@ -47,7 +47,7 @@ func TestForTidInRange(t *testing.T) {
 }
 
 func TestForSequentialFastPathUsesTidZero(t *testing.T) {
-	For(100, 1, 10, func(lo, hi, tid int) {
+	Default().For(100, 1, 10, func(lo, hi, tid int) {
 		if tid != 0 {
 			t.Errorf("sequential path must use tid 0, got %d", tid)
 		}
@@ -56,7 +56,7 @@ func TestForSequentialFastPathUsesTidZero(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	sum := int64(0)
-	ForEach(1000, 4, 32, func(i, _ int) {
+	Default().ForEach(1000, 4, 32, func(i, _ int) {
 		atomic.AddInt64(&sum, int64(i))
 	})
 	if sum != 999*1000/2 {
@@ -69,7 +69,7 @@ func TestBlocksPartition(t *testing.T) {
 		{10, 3}, {1, 5}, {100, 100}, {7, 8}, {1000, 4},
 	} {
 		visited := make([]int32, tc.n)
-		Blocks(tc.n, tc.threads, func(block, lo, hi int) {
+		Default().Blocks(tc.n, tc.threads, func(block, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&visited[i], 1)
 			}
@@ -101,7 +101,7 @@ func TestExclusiveScanUint32MatchesReference(t *testing.T) {
 		}
 		want, wantTotal := seqExclusiveScan(a)
 		got := append([]uint32(nil), a...)
-		total := ExclusiveScanUint32(got, 4)
+		total := Default().ExclusiveScanUint32(got, 4)
 		if total != wantTotal {
 			t.Fatalf("n=%d: total %d, want %d", n, total, wantTotal)
 		}
@@ -118,7 +118,7 @@ func TestExclusiveScanUint32Property(t *testing.T) {
 		}
 		want, wantTotal := seqExclusiveScan(a)
 		got := append([]uint32(nil), a...)
-		total := ExclusiveScanUint32(got, 8)
+		total := Default().ExclusiveScanUint32(got, 8)
 		if total != wantTotal {
 			return false
 		}
@@ -136,7 +136,7 @@ func TestExclusiveScanUint32Property(t *testing.T) {
 
 func TestExclusiveScanInt64(t *testing.T) {
 	a := []int64{5, 0, 3, -2, 7}
-	total := ExclusiveScanInt64(a, 2)
+	total := Default().ExclusiveScanInt64(a, 2)
 	if total != 13 {
 		t.Fatalf("total = %d, want 13", total)
 	}
@@ -153,8 +153,8 @@ func TestExclusiveScanInt64Large(t *testing.T) {
 		a[i] = int64(i % 7)
 	}
 	b := append([]int64(nil), a...)
-	totA := ExclusiveScanInt64(a, 1)
-	totB := ExclusiveScanInt64(b, 8)
+	totA := Default().ExclusiveScanInt64(a, 1)
+	totB := Default().ExclusiveScanInt64(b, 8)
 	if totA != totB {
 		t.Fatalf("totals differ: %d vs %d", totA, totB)
 	}
@@ -169,30 +169,30 @@ func TestSumFloat64(t *testing.T) {
 	for i := range a {
 		a[i] = 0.5
 	}
-	if got := SumFloat64(a, 4); got != float64(n)/2 {
+	if got := Default().SumFloat64(a, 4); got != float64(n)/2 {
 		t.Fatalf("sum = %v, want %v", got, float64(n)/2)
 	}
-	if got := SumFloat64(nil, 4); got != 0 {
+	if got := Default().SumFloat64(nil, 4); got != 0 {
 		t.Fatalf("sum(nil) = %v", got)
 	}
 }
 
 func TestFillAndIota(t *testing.T) {
 	a := make([]uint32, 33000)
-	FillUint32(a, 7, 4)
+	Default().FillUint32(a, 7, 4)
 	for i, v := range a {
 		if v != 7 {
 			t.Fatalf("fill missed index %d", i)
 		}
 	}
-	Iota(a, 4)
+	Default().Iota(a, 4)
 	for i, v := range a {
 		if v != uint32(i) {
 			t.Fatalf("iota wrong at %d: %d", i, v)
 		}
 	}
 	f := make([]float64, 20000)
-	FillFloat64(f, 2.5, 4)
+	Default().FillFloat64(f, 2.5, 4)
 	for i, v := range f {
 		if v != 2.5 {
 			t.Fatalf("float fill missed index %d", i)
@@ -208,8 +208,8 @@ func TestDefaultThreadsPositive(t *testing.T) {
 
 func TestForNegativeAndZero(t *testing.T) {
 	called := false
-	For(-5, 4, 8, func(lo, hi, tid int) { called = true })
-	For(0, 4, 8, func(lo, hi, tid int) { called = true })
+	Default().For(-5, 4, 8, func(lo, hi, tid int) { called = true })
+	Default().For(0, 4, 8, func(lo, hi, tid int) { called = true })
 	if called {
 		t.Fatal("For must not invoke the body for n ≤ 0")
 	}
@@ -217,20 +217,20 @@ func TestForNegativeAndZero(t *testing.T) {
 
 func TestBlocksMoreThreadsThanWork(t *testing.T) {
 	var count int32
-	Blocks(3, 100, func(block, lo, hi int) {
+	Default().Blocks(3, 100, func(block, lo, hi int) {
 		atomic.AddInt32(&count, int32(hi-lo))
 	})
 	if count != 3 {
 		t.Fatalf("covered %d of 3", count)
 	}
-	Blocks(0, 4, func(block, lo, hi int) { t.Fatal("empty range visited") })
+	Default().Blocks(0, 4, func(block, lo, hi int) { t.Fatal("empty range visited") })
 }
 
 func TestExclusiveScanEmpty(t *testing.T) {
-	if ExclusiveScanUint32(nil, 4) != 0 {
+	if Default().ExclusiveScanUint32(nil, 4) != 0 {
 		t.Fatal("empty scan total")
 	}
-	if ExclusiveScanInt64(nil, 4) != 0 {
+	if Default().ExclusiveScanInt64(nil, 4) != 0 {
 		t.Fatal("empty int64 scan total")
 	}
 }

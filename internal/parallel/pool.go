@@ -365,6 +365,7 @@ func (p *Pool) FillFloat64(a []float64, v float64, threads int) {
 }
 
 // Iota fills a with the identity permutation a[i] = i, on the pool.
+// This is the `C' ← [0..|V'|)` initialization in Algorithm 1.
 func (p *Pool) Iota(a []uint32, threads int) {
 	p.For(len(a), threads, 1<<14, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {

@@ -118,7 +118,7 @@ func TestPoolConcurrentRegions(t *testing.T) {
 }
 
 // TestDefaultPoolConcurrentRegions runs the same overlap stress against
-// the shared default pool, the configuration every wrapper API uses.
+// the shared default pool, which every caller without its own pool uses.
 func TestDefaultPoolConcurrentRegions(t *testing.T) {
 	const submitters = 6
 	var wg sync.WaitGroup
@@ -128,7 +128,7 @@ func TestDefaultPoolConcurrentRegions(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 20; r++ {
 				var count atomic.Int64
-				For(5000, 4, 64, func(lo, hi, _ int) {
+				Default().For(5000, 4, 64, func(lo, hi, _ int) {
 					count.Add(int64(hi - lo))
 				})
 				if count.Load() != 5000 {
@@ -213,7 +213,7 @@ func TestScanDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestGenericScanOtherTypes exercises ExclusiveScanOn with integer
-// types that have no dedicated wrapper.
+// types that have no dedicated Pool method.
 func TestGenericScanOtherTypes(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()

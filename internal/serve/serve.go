@@ -103,8 +103,8 @@ type Server struct {
 
 // The timed stages of a published swap, in order: building the graph
 // the run consumes (stream.Graph.Snapshot; for the initial build,
-// stream.FromCSR adopting the caller's graph), the detection run, the
-// oracle gate, and the query-index build (newSnapshot).
+// stream.FromCSR normalizing the caller's graph first), the detection
+// run, the oracle gate, and the query-index build (newSnapshot).
 const (
 	stageSnapshot = iota
 	stageRun
@@ -125,10 +125,12 @@ var endpoints = []string{
 // New builds the initial snapshot synchronously — a cold
 // LeidenHierarchy run, gated by the same invariant checks as every
 // later swap (there is no previous snapshot, so no differential bound)
-// — and starts the recompute worker. The server takes g over: the
-// initial snapshot serves g itself, and when g is canonical
-// (stream.FromCSR) the stream state adopts it as its base instead of
-// copying it. The caller must not modify g afterwards; the server
+// — and starts the recompute worker. The initial snapshot serves the
+// stream graph's snapshot, so it holds exactly the edges later deltas
+// can delete: stream.FromCSR normalizes g (graph.Canonical), dropping
+// pairs of weight ≤ 0 and summing parallel arcs. A canonical g is
+// that snapshot itself, adopted without a copy; the server takes it
+// over, so the caller must not modify it afterwards, and the server
 // never does.
 func New(g *graph.CSR, cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
@@ -166,6 +168,7 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 	var took [numStages]time.Duration
 	t := time.Now()
 	s.sg = stream.FromCSR(g)
+	g = s.sg.Snapshot()
 	took[stageSnapshot] = time.Since(t)
 	opt := s.runOptions()
 	start := time.Now()
@@ -177,7 +180,7 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 	}
 	took[stageGate] = time.Since(t)
 	t = time.Now()
-	snap := newSnapshot(g, g.NumUndirectedEdges(), res, h, 1, false)
+	snap := newSnapshot(g, s.sg.NumEdges(), res, h, 1, false)
 	took[stageIndex] = time.Since(t)
 	s.snap.Store(snap)
 	s.recomputes.Add(1)

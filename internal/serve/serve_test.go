@@ -587,3 +587,66 @@ func TestServeSwapStageMetrics(t *testing.T) {
 		t.Fatalf("run+gate+index %.6fs exceed the flight wall time %.6fs", inRun, wall)
 	}
 }
+
+// TestServeZeroWeightEdge: the server serves the graph its stream
+// holds. A loader keeps an edge of weight 0, which the stream drops,
+// so the first snapshot must not contain it either; /stats must count
+// exactly the edges deltas act on across a swap; and every edge
+// /neighbors returns must be deletable.
+func TestServeZeroWeightEdge(t *testing.T) {
+	base, _ := gen.SocialNetwork(2000, 10, 8, 0.3, 7)
+	if base.HasArc(0, 1999) {
+		t.Fatal("the generator graph already has {0,1999}")
+	}
+	b := graph.NewBuilder(base.NumVertices())
+	for i := 0; i < base.NumVertices(); i++ {
+		es, ws := base.Neighbors(uint32(i))
+		for k, e := range es {
+			if uint32(i) <= e {
+				b.AddEdge(uint32(i), e, ws[k])
+			}
+		}
+	}
+	b.AddEdge(0, 1999, 0)
+	s, c := startServerOn(t, b.Build(), testConfig())
+
+	if g := s.Snapshot().Graph; g.HasArc(0, 1999) || g.HasArc(1999, 0) {
+		t.Fatal("the first snapshot serves the zero-weight edge")
+	}
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Edges != base.NumUndirectedEdges() {
+		t.Fatalf("/stats edges %d, want %d", before.Edges, base.NumUndirectedEdges())
+	}
+
+	var del []EdgeUpdate
+	seen := map[uint64]bool{}
+	for _, v := range []uint32{0, 1999} {
+		nr, err := c.Neighbors(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range nr.Neighbors {
+			if k := graph.PairKey(v, nb.V); !seen[k] {
+				seen[k] = true
+				del = append(del, EdgeUpdate{U: v, V: nb.V})
+			}
+		}
+	}
+	if len(del) == 0 {
+		t.Fatal("/neighbors returned no edges to delete")
+	}
+	ins := []EdgeUpdate{{U: 0, V: 1999, W: 1}}
+	if _, err := c.ApplyDelta(ins, del); err != nil {
+		t.Fatalf("deleting the edges /neighbors returned: %v", err)
+	}
+	st := waitVersion(t, c, before.Version+1)
+	if want := before.Edges + int64(len(ins)) - int64(len(del)); st.Edges != want {
+		t.Fatalf("/stats edges after the swap = %d, want %d + %d - %d", st.Edges, before.Edges, len(ins), len(del))
+	}
+	if got := s.Snapshot().Graph.NumUndirectedEdges(); got != st.Edges {
+		t.Fatalf("/stats edges %d, published graph has %d", st.Edges, got)
+	}
+}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -13,42 +14,61 @@ import (
 	"gveleiden/internal/quality"
 )
 
-func TestBasicMutation(t *testing.T) {
-	s := New(3)
-	s.AddEdge(0, 1, 1)
-	s.AddEdge(1, 2, 2)
-	if s.NumEdges() != 2 || s.NumVertices() != 3 {
-		t.Fatalf("edges=%d vertices=%d", s.NumEdges(), s.NumVertices())
+// empty returns a stream graph with n vertices and no edges.
+func empty(n int) *Graph {
+	return FromCSR(&graph.CSR{Offsets: make([]uint32, n+1)})
+}
+
+// weight returns the weight of edge {u,v}, 0 if absent.
+func (s *Graph) weight(u, v uint32) float32 {
+	w, _ := s.lookup(u, v)
+	return w
+}
+
+// has reports whether the undirected edge {u,v} exists.
+func (s *Graph) has(u, v uint32) bool {
+	_, ok := s.lookup(u, v)
+	return ok
+}
+
+// mustApply applies a batch, failing the test on error.
+func mustApply(t *testing.T, s *Graph, ins, del []graph.Edge) {
+	t.Helper()
+	if err := s.Apply(ins, del); err != nil {
+		t.Fatal(err)
 	}
-	if !s.HasEdge(0, 1) || !s.HasEdge(1, 0) {
+}
+
+func TestBasicMutation(t *testing.T) {
+	s := empty(3)
+	mustApply(t, s, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}}, nil)
+	if s.NumEdges() != 2 || s.n != 3 {
+		t.Fatalf("edges=%d vertices=%d", s.NumEdges(), s.n)
+	}
+	if !s.has(0, 1) || !s.has(1, 0) {
 		t.Fatal("symmetry broken")
 	}
-	if s.Weight(1, 2) != 2 {
-		t.Fatalf("weight = %v", s.Weight(1, 2))
+	if s.weight(1, 2) != 2 {
+		t.Fatalf("weight = %v", s.weight(1, 2))
 	}
-	s.AddEdge(0, 1, 3) // reinforce
-	if s.Weight(0, 1) != 4 || s.NumEdges() != 2 {
+	mustApply(t, s, []graph.Edge{{U: 0, V: 1, W: 3}}, nil) // reinforce
+	if s.weight(0, 1) != 4 || s.NumEdges() != 2 {
 		t.Fatal("reinforcement broken")
 	}
-	if !s.RemoveEdge(0, 1) {
-		t.Fatal("remove failed")
-	}
-	if s.HasEdge(1, 0) || s.NumEdges() != 1 {
+	mustApply(t, s, nil, []graph.Edge{{U: 0, V: 1}})
+	if s.has(1, 0) || s.NumEdges() != 1 {
 		t.Fatal("remove left residue")
 	}
-	if s.RemoveEdge(0, 1) {
+	if err := s.Apply(nil, []graph.Edge{{U: 0, V: 1}}); err == nil {
 		t.Fatal("double remove succeeded")
-	}
-	if s.Degree(1) != 1 {
-		t.Fatalf("degree = %d", s.Degree(1))
 	}
 }
 
 func TestVertexGrowthAndLoops(t *testing.T) {
-	s := New(0)
-	s.AddEdge(5, 5, 2) // loop on a new vertex
-	if s.NumVertices() != 6 || s.NumEdges() != 1 {
-		t.Fatalf("v=%d e=%d", s.NumVertices(), s.NumEdges())
+	s := empty(0)
+	mustApply(t, s, []graph.Edge{{U: 5, V: 5, W: 2}}, nil) // loop on a new vertex
+	if s.n != 6 || s.NumEdges() != 1 {
+		t.Fatalf("v=%d e=%d", s.n, s.NumEdges())
 	}
 	g := s.Snapshot()
 	if g.ArcWeight(5, 5) != 2 {
@@ -197,28 +217,24 @@ func TestApplyDifferentialRandomized(t *testing.T) {
 }
 
 // assertSameLookups fails unless s answers like g — vertex and edge
-// counts, and presence, weight and degree around every given pair —
-// without taking a snapshot.
+// counts, and presence and weight of every given pair — without taking
+// a snapshot.
 func assertSameLookups(t *testing.T, s *Graph, g *graph.CSR, pairs []graph.Edge) {
 	t.Helper()
-	if s.NumVertices() != g.NumVertices() || s.NumEdges() != g.NumUndirectedEdges() {
-		t.Fatalf("counts %d/%d, want %d/%d", s.NumVertices(), s.NumEdges(), g.NumVertices(), g.NumUndirectedEdges())
+	if s.n != g.NumVertices() || s.NumEdges() != g.NumUndirectedEdges() {
+		t.Fatalf("counts %d/%d, want %d/%d", s.n, s.NumEdges(), g.NumVertices(), g.NumUndirectedEdges())
 	}
 	for _, e := range pairs {
-		if s.HasEdge(e.U, e.V) != g.HasArc(e.U, e.V) || s.Weight(e.U, e.V) != float32(g.ArcWeight(e.U, e.V)) {
+		if s.has(e.U, e.V) != g.HasArc(e.U, e.V) || s.weight(e.U, e.V) != float32(g.ArcWeight(e.U, e.V)) {
 			t.Fatalf("edge {%d,%d}: %v/%g, want %v/%g", e.U, e.V,
-				s.HasEdge(e.U, e.V), s.Weight(e.U, e.V), g.HasArc(e.U, e.V), g.ArcWeight(e.U, e.V))
-		}
-		if s.Degree(e.U) != int(g.Degree(e.U)) {
-			t.Fatalf("degree of %d: %d, want %d", e.U, s.Degree(e.U), g.Degree(e.U))
+				s.has(e.U, e.V), s.weight(e.U, e.V), g.HasArc(e.U, e.V), g.ArcWeight(e.U, e.V))
 		}
 	}
 }
 
 // TestSnapshotSharedBaseIsNeverWritten: FromCSR adopts a canonical
-// input and Snapshot hands out the base it keeps, so later Apply,
-// AddEdge and RemoveEdge calls must build a new CSR and leave every
-// earlier one bit-identical.
+// input and Snapshot hands out the base it keeps, so later Apply calls
+// must build a new CSR and leave every earlier one bit-identical.
 func TestSnapshotSharedBaseIsNeverWritten(t *testing.T) {
 	g, _ := gen.WebGraph(400, 8, 7)
 	gWant := g.Clone()
@@ -241,15 +257,8 @@ func TestSnapshotSharedBaseIsNeverWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	es, _ := snap.Neighbors(3)
-	if !s.RemoveEdge(3, es[0]) {
-		t.Fatal("RemoveEdge of a base edge failed")
-	}
-	if err := s.AddEdge(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddEdge(450, 2, 1); err != nil { // grows the vertex set
-		t.Fatal(err)
-	}
+	mustApply(t, s, nil, []graph.Edge{{U: 3, V: es[0]}})                         // a base edge
+	mustApply(t, s, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 450, V: 2, W: 1}}, nil) // grows the vertex set
 	if next := s.Snapshot(); next == snap || next.NumVertices() != 451 {
 		t.Fatalf("pending mutations gave snapshot %p with %d vertices", next, next.NumVertices())
 	}
@@ -259,9 +268,9 @@ func TestSnapshotSharedBaseIsNeverWritten(t *testing.T) {
 }
 
 // fromCSRReference spells out FromCSR's contract on a map: each arc
-// (i,j), i ≤ j, in storage order, added under AddEdge's rules —
-// non-finite weights skipped, parallel arcs summed, an edge whose sum
-// reaches ≤ 0 cancelled.
+// (i,j), i ≤ j, in storage order, added to its pair — non-finite
+// weights skipped, parallel arcs summed, an edge whose sum reaches ≤ 0
+// cancelled.
 func fromCSRReference(g *graph.CSR) *graph.CSR {
 	ref := map[[2]uint32]float32{}
 	var order [][2]uint32
@@ -295,8 +304,11 @@ func fromCSRReference(g *graph.CSR) *graph.CSR {
 
 // TestFromCSRNonCanonicalInputs: holey, unsorted, duplicate-arc,
 // non-positive-weight and asymmetric (missing or reweighted mirror
-// arcs) inputs are not adopted; they go through the overlay and keep
-// FromCSR's per-arc AddEdge semantics.
+// arcs) inputs are not adopted; FromCSR replaces them with the graph
+// fromCSRReference describes. graph.ApplyDelta normalizes them the
+// same way, so on every shape it equals FromCSR, Apply and Snapshot —
+// for a valid batch and for one deleting an edge the normalization
+// dropped.
 func TestFromCSRNonCanonicalInputs(t *testing.T) {
 	g, _ := gen.SocialNetwork(300, 8, 5, 0.3, 4)
 	n := g.NumVertices()
@@ -376,12 +388,38 @@ func TestFromCSRNonCanonicalInputs(t *testing.T) {
 		if s.NumEdges() != want.NumUndirectedEdges() {
 			t.Fatalf("%s: NumEdges %d, want %d", name, s.NumEdges(), want.NumUndirectedEdges())
 		}
+
+		ins, del := graph.RandomDelta(want, 10, 10, 5)
+		ins = append(ins, graph.Edge{U: 7, V: 7, W: 1}, graph.Edge{U: uint32(n), V: 3, W: 2})
+		viaApplyDelta, err := graph.ApplyDelta(in, ins, del)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		mustApply(t, s, ins, del)
+		assertSameCSR(t, s.Snapshot(), viaApplyDelta)
+
+		dropped := graph.Edge{U: 0, V: uint32(n)} // missing when nothing was dropped
+	search:
+		for i := 0; i < n; i++ {
+			es, _ := in.Neighbors(uint32(i))
+			for _, e := range es {
+				if !want.HasArc(uint32(i), e) {
+					dropped = graph.Edge{U: uint32(i), V: e}
+					break search
+				}
+			}
+		}
+		_, errApplyDelta := graph.ApplyDelta(in, nil, []graph.Edge{dropped})
+		errStream := FromCSR(in).Apply(nil, []graph.Edge{dropped})
+		if errApplyDelta == nil || errStream == nil || errors.Unwrap(errStream).Error() != errApplyDelta.Error() {
+			t.Fatalf("%s: deleting {%d,%d}: ApplyDelta %v, stream %v", name, dropped.U, dropped.V, errApplyDelta, errStream)
+		}
 	}
 }
 
 func TestApplyRejectsMissingDeletion(t *testing.T) {
-	s := New(3)
-	s.AddEdge(0, 1, 1)
+	s := empty(3)
+	mustApply(t, s, []graph.Edge{{U: 0, V: 1, W: 1}}, nil)
 	err := s.Apply(nil, []graph.Edge{{U: 1, V: 2}})
 	if err == nil {
 		t.Fatal("deleting a missing edge must error")
@@ -432,57 +470,64 @@ func TestApplyFailedBatchIsNoOp(t *testing.T) {
 	}
 }
 
-// TestAddEdgeWeightValidation mirrors the PR 4 reader validation on the
-// mutable ingest path: non-finite weights are rejected, float32
-// overflow of the summed weight is rejected, and a sum reaching zero or
-// below cancels the edge instead of materializing a CSR the readers
-// would refuse.
+// TestAddEdgeWeightValidation mirrors the reader validation on the
+// mutable ingest path, one single-insertion batch at a time: a
+// non-finite weight is rejected, a float32 overflow of the summed
+// weight is rejected, and a sum reaching zero or below cancels the edge
+// instead of materializing a CSR the readers would refuse.
 func TestAddEdgeWeightValidation(t *testing.T) {
-	s := New(2)
+	add := func(s *Graph, u, v uint32, w float32) error {
+		return s.Apply([]graph.Edge{{U: u, V: v, W: w}}, nil)
+	}
+	s := empty(2)
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := s.AddEdge(0, 1, float32(w)); err == nil {
-			t.Fatalf("AddEdge accepted non-finite weight %v", w)
+		if err := add(s, 0, 1, float32(w)); err == nil {
+			t.Fatalf("Apply accepted non-finite weight %v", w)
 		}
 	}
-	if s.NumEdges() != 0 || s.NumVertices() != 2 {
-		t.Fatal("rejected AddEdge mutated the graph")
+	if s.NumEdges() != 0 || s.n != 2 {
+		t.Fatal("rejected insertion mutated the graph")
 	}
 
 	// Overflowing sum.
-	if err := s.AddEdge(0, 1, math.MaxFloat32); err != nil {
+	if err := add(s, 0, 1, math.MaxFloat32); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddEdge(0, 1, math.MaxFloat32); err == nil {
-		t.Fatal("AddEdge accepted a float32-overflowing sum")
+	if err := add(s, 0, 1, math.MaxFloat32); err == nil {
+		t.Fatal("Apply accepted a float32-overflowing sum")
 	}
-	if s.Weight(0, 1) != math.MaxFloat32 {
-		t.Fatal("failed AddEdge mutated the weight")
+	if s.weight(0, 1) != math.MaxFloat32 {
+		t.Fatal("rejected insertion mutated the weight")
 	}
 
 	// Cancellation to zero removes the edge entirely.
-	s2 := New(0)
-	s2.AddEdge(3, 4, 2)
-	if err := s2.AddEdge(3, 4, -2); err != nil {
+	s2 := empty(0)
+	if err := add(s2, 3, 4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if s2.HasEdge(3, 4) || s2.HasEdge(4, 3) || s2.NumEdges() != 0 {
+	if err := add(s2, 3, 4, -2); err != nil {
+		t.Fatal(err)
+	}
+	if s2.has(3, 4) || s2.has(4, 3) || s2.NumEdges() != 0 {
 		t.Fatal("zero-sum edge survived")
 	}
 	// Driving below zero removes it too.
-	s2.AddEdge(3, 4, 1)
-	if err := s2.AddEdge(3, 4, -5); err != nil {
+	if err := add(s2, 3, 4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if s2.HasEdge(3, 4) || s2.NumEdges() != 0 {
+	if err := add(s2, 3, 4, -5); err != nil {
+		t.Fatal(err)
+	}
+	if s2.has(3, 4) || s2.NumEdges() != 0 {
 		t.Fatal("negative-sum edge survived")
 	}
 	// A fresh negative insertion never creates an edge, but still grows
 	// the vertex set (the endpoints were mentioned).
-	if err := s2.AddEdge(7, 8, -1); err != nil {
+	if err := add(s2, 7, 8, -1); err != nil {
 		t.Fatal(err)
 	}
-	if s2.HasEdge(7, 8) || s2.NumVertices() != 9 {
-		t.Fatalf("fresh negative edge: has=%v n=%d", s2.HasEdge(7, 8), s2.NumVertices())
+	if s2.has(7, 8) || s2.n != 9 {
+		t.Fatalf("fresh negative edge: has=%v n=%d", s2.has(7, 8), s2.n)
 	}
 	// Snapshots of a cancelled-edge graph stay reader-clean.
 	if err := s2.Snapshot().Validate(); err != nil {
@@ -515,8 +560,8 @@ func TestStreamDrivesDynamicLeiden(t *testing.T) {
 	}
 }
 
-// TestStreamPropertyVsReference: any mutation sequence leaves the
-// stream graph equal to a naive map-of-edges reference.
+// TestStreamPropertyVsReference: any sequence of single-edge batches
+// leaves the stream graph equal to a naive map-of-edges reference.
 func TestStreamPropertyVsReference(t *testing.T) {
 	type op struct {
 		U, V   uint8
@@ -524,7 +569,7 @@ func TestStreamPropertyVsReference(t *testing.T) {
 		Remove bool
 	}
 	err := quick.Check(func(ops []op) bool {
-		s := New(0)
+		s := empty(0)
 		ref := map[[2]uint32]float32{}
 		key := func(u, v uint32) [2]uint32 {
 			if u > v {
@@ -535,15 +580,17 @@ func TestStreamPropertyVsReference(t *testing.T) {
 		for _, o := range ops {
 			u, v := uint32(o.U%32), uint32(o.V%32)
 			if o.Remove {
-				existed := s.RemoveEdge(u, v)
+				err := s.Apply(nil, []graph.Edge{{U: u, V: v}})
 				_, want := ref[key(u, v)]
-				if existed != want {
+				if (err == nil) != want {
 					return false
 				}
 				delete(ref, key(u, v))
 			} else {
 				w := float32(o.W%8) + 1
-				s.AddEdge(u, v, w)
+				if s.Apply([]graph.Edge{{U: u, V: v, W: w}}, nil) != nil {
+					return false
+				}
 				ref[key(u, v)] += w
 			}
 		}
@@ -551,7 +598,7 @@ func TestStreamPropertyVsReference(t *testing.T) {
 			return false
 		}
 		for k, w := range ref {
-			if s.Weight(k[0], k[1]) != w {
+			if s.weight(k[0], k[1]) != w {
 				return false
 			}
 		}
