@@ -22,7 +22,10 @@ const (
 type Objective = core.Objective
 
 // Quality functions: classic/generalized modularity, or the
-// resolution-limit-free Constant Potts Model.
+// resolution-limit-free Constant Potts Model. Only a CPM run keeps the
+// per-vertex and per-community sizes its gain reads (24 bytes per input
+// vertex); a modularity run works from the weighted degrees and
+// community totals alone.
 const (
 	ObjectiveModularity = core.ObjectiveModularity
 	ObjectiveCPM        = core.ObjectiveCPM

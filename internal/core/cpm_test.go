@@ -116,7 +116,7 @@ func TestCPMDeltaMatchesRecompute(t *testing.T) {
 	}
 	ws.m = twoM / 2
 	for i := 0; i < n; i++ {
-		ws.vsize[i] = 1
+		ws.sizes.vsize[i] = 1
 	}
 	// Random-ish partition into 6 blocks.
 	member := make([]uint32, n)
@@ -132,7 +132,7 @@ func TestCPMDeltaMatchesRecompute(t *testing.T) {
 	sync := func() {
 		for c := 0; c < n; c++ {
 			ws.sigma.Set(c, sigma[c])
-			ws.csize.Set(c, count[c])
+			ws.sizes.csize.Set(c, count[c])
 		}
 	}
 	for trial := 0; trial < 200; trial++ {

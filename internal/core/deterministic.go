@@ -38,6 +38,7 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 	n := g.NumVertices()
 	threads, grain := ws.opt.Threads, ws.opt.Grain
 	comm := ws.comm[:n]
+	sz := ws.sizes
 	ws.flags.Resize(n)
 	if ws.frontier != nil {
 		ws.flags.SetAll(ws.opt.Pool, false, threads)
@@ -75,7 +76,7 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 					scanned++
 					d := comm[u] //gvevet:exclusive frozen comm: same-class vertices are never adjacent, so no membership read here changes mid-class
 					ki := ws.k[u]
-					si := ws.vsize[u]
+					si := sz.vertex(u)
 					var kid, sd, nd float64
 					bestC := d
 					bestDQ := 0.0
@@ -95,13 +96,13 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 						}
 						kid = f.Get(d)
 						sd = ws.sigma.Get(int(d))
-						nd = ws.csize.Get(int(d))
+						nd = sz.comm(d)
 						for i := 0; i < f.Len(); i++ {
 							c := f.Key(i)
 							if c == d {
 								continue
 							}
-							dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(c)), sd, si, ws.csize.Get(int(c)), nd)
+							dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
 							if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
 								bestDQ = dq
 								bestC = c
@@ -113,12 +114,12 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 						scanCommunities(h, g, comm, u, false)
 						kid = h.Get(d)
 						sd = ws.sigma.Get(int(d))
-						nd = ws.csize.Get(int(d))
+						nd = sz.comm(d)
 						for _, c := range h.Keys() {
 							if c == d {
 								continue
 							}
-							dq := ws.delta(h.Get(c), kid, ki, ws.sigma.Get(int(c)), sd, si, ws.csize.Get(int(c)), nd)
+							dq := ws.delta(h.Get(c), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
 							if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
 								bestDQ = dq
 								bestC = c
@@ -153,14 +154,13 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 				for _, m := range moverCh[tid] {
 					d := comm[m.u] //gvevet:exclusive sequential apply: runs after the class's region barrier, no concurrent writers
 					ki := ws.k[m.u]
-					si := ws.vsize[m.u]
+					si := sz.vertex(m.u)
 					realized += ws.delta(m.kic, m.kid, ki,
 						ws.sigma.Get(int(m.target)), ws.sigma.Get(int(d)), si,
-						ws.csize.Get(int(m.target)), ws.csize.Get(int(d)))
+						sz.comm(m.target), sz.comm(d))
 					ws.sigma.Add(int(d), -ki)
 					ws.sigma.Add(int(m.target), ki)
-					ws.csize.Add(int(d), -si)
-					ws.csize.Add(int(m.target), si)
+					sz.move(d, m.target, si)
 					commStore(comm, m.u, m.target)
 				}
 			}
@@ -209,6 +209,7 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 	threads := ws.opt.Threads
 	comm := ws.comm[:n]
 	bounds := ws.bounds[:n]
+	sz := ws.sizes
 	ws.zeroMoved()
 	moverCh := ws.movers // grown-once per-thread buffers, shared with the move phase (phases never overlap)
 	for cls := 0; cls < col.NumColors; cls++ {
@@ -239,10 +240,8 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 				if !ws.sigma.CAS(int(c), ki, 0) {
 					continue // another class's move intervened
 				}
-				si := ws.vsize[m.u]
 				ws.sigma.Add(int(m.target), ki)
-				ws.csize.Add(int(c), -si)
-				ws.csize.Add(int(m.target), si)
+				sz.move(c, m.target, sz.vertex(m.u))
 				commStore(comm, m.u, m.target)
 				ws.moved[tid].V++
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"time"
 
 	"gveleiden/internal/graph"
 )
@@ -107,13 +106,7 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode
 		ws.frontier = frontierOf(warm, delta, bound, n)
 	}
 
-	start := now()
-	runLeiden(g, ws)
-	if opt.FinalRefine {
-		ws.finalRefine(g)
-		ws.splitConnected(g, ws.top)
-	}
-	return finishResult(g, ws, time.Since(start)), ws.hierarchy
+	return ws.leiden(g), ws.hierarchy
 }
 
 // frontierOf applies the dynamic-frontier marking rule: an inserted

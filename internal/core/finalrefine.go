@@ -27,19 +27,8 @@ func (ws *workspace) finalRefine(g *graph.CSR) {
 	t0 := now()
 	opt := ws.opt
 	ws.vertexWeights(g, ws.k[:n])
-	opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
-	comm := ws.comm[:n]
-	copy(comm, ws.top)
-	ws.sigma.Resize(n)
-	ws.csize.Resize(n)
-	ws.sigma.Zero(opt.Pool, opt.Threads)
-	ws.csize.Zero(opt.Pool, opt.Threads)
-	opt.Pool.For(n, opt.Threads, opt.Grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			ws.sigma.Add(int(comm[i]), ws.k[i])
-			ws.csize.Add(int(comm[i]), 1)
-		}
-	})
+	ws.sizes.unit(opt, n)
+	ws.initialCommunities(n, ws.top)
 	var coloring *color.Coloring
 	if opt.Deterministic {
 		coloring = color.GreedyOn(opt.Pool, g, opt.Threads)
@@ -61,6 +50,6 @@ func (ws *workspace) finalRefine(g *graph.CSR) {
 	}
 	sp.End()
 	ps.Move = time.Since(t0)
-	copy(ws.top, comm)
+	copy(ws.top, ws.comm[:n])
 	ws.endPass("final-refine", pass, &ps, psp)
 }

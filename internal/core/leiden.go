@@ -30,17 +30,24 @@ func Leiden(g *graph.CSR, opt Options) *Result {
 			"vertices": g.NumVertices(), "arcs": g.NumArcs(), "threads": opt.Threads,
 		})
 	}
+	res := ws.leiden(g)
+	run.End()
+	return res
+}
+
+// leiden runs the passes on g from the state ws was prepared with (cold,
+// warm-started, recording the hierarchy), then the final refinement
+// when configured, and returns the densified result.
+func (ws *workspace) leiden(g *graph.CSR) *Result {
 	start := now()
 	runLeiden(g, ws)
-	if opt.FinalRefine {
+	if ws.opt.FinalRefine {
 		// Final refinement moves individual vertices and can disconnect a
 		// community the same way the move phase can; re-split afterwards.
 		ws.finalRefine(g)
 		ws.splitConnected(g, ws.top)
 	}
-	res := finishResult(g, ws, time.Since(start))
-	run.End()
-	return res
+	return finishResult(g, ws, time.Since(start))
 }
 
 func runLeiden(g *graph.CSR, ws *workspace) {
@@ -62,18 +69,14 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		psp := ws.beginPass("leiden", pass, n, ps.Arcs)
 
 		t0 := now()
-		k := ws.k[:n]
-		ws.vertexWeights(cur, k)
-		if pass == 0 {
-			ws.m = opt.Pool.SumFloat64(k, opt.Threads) / 2
-			if ws.m == 0 {
-				// Edgeless graph: every vertex is its own community.
-				ws.endPass("leiden", pass, &ps, psp)
-				return
-			}
-			opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
+		var init []uint32
+		if haveInit {
+			init = ws.initC[:n] //gvevet:exclusive pass boundary: initC was last stored in the previous pass's moveLabels, behind two pool barriers
 		}
-		ws.initialCommunities(n, haveInit)
+		if !ws.startPass(cur, pass, init) {
+			ws.endPass("leiden", pass, &ps, psp)
+			return
+		}
 		ps.Other += time.Since(t0)
 		var coloring *color.Coloring
 		if opt.Deterministic {
@@ -94,14 +97,8 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		ps.MoveIterations = li
 		ps.Move = time.Since(t0)
 
-		// Community bounds for refinement: the move-phase communities;
-		// then reset memberships and community weights to singletons.
 		t0 = now()
-		comm := ws.comm[:n]
-		copy(ws.bounds[:n], comm)
-		opt.Pool.Iota(comm, opt.Threads)
-		ws.sigma.CopyFrom(opt.Pool, k, opt.Threads)
-		ws.csize.CopyFrom(opt.Pool, ws.vsize[:n], opt.Threads)
+		ws.startRefine(n)
 		ps.Other += time.Since(t0)
 
 		t0 = now()
@@ -133,6 +130,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		}
 
 		t0 = now()
+		comm := ws.comm[:n]
 		nComms := ws.renumber(comm, n)
 		ps.Communities = nComms
 		if float64(nComms)/float64(n) > opt.AggregationTolerance {
@@ -157,7 +155,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		t0 = now()
 		sp = opt.Tracer.Begin("aggregate", 0)
 		next, occ := ws.aggregate(cur, nComms)
-		ws.aggregateSizes(n, nComms)
+		ws.sizes.rollup(opt, comm, nComms)
 		sp.End()
 		ps.AggOccupancy = occ
 		ps.Aggregate = time.Since(t0)
@@ -194,27 +192,29 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 }
 
 // finishResult densifies the top-level labels and computes the final
-// modularity.
+// modularity and quality from them, with no label map: one sweep of
+// quality.Accumulate serves both.
 func finishResult(g *graph.CSR, ws *workspace, elapsed time.Duration) *Result {
 	// Record the per-pass stats collected in ws, then renumber the
 	// top-level membership to dense community ids.
 	nComms := ws.renumber(ws.top, ws.n0)
 	ws.stats.Total = elapsed
+	sums := quality.Accumulate(g, ws.top, nComms)
 	res := &Result{
 		Membership:     ws.top,
 		NumCommunities: nComms,
-		Modularity:     quality.Modularity(g, ws.top),
+		Modularity:     sums.Modularity(1),
 		Passes:         len(ws.stats.Passes),
 		Stats:          ws.stats,
 	}
 	switch ws.opt.Objective {
 	case ObjectiveCPM:
-		res.Quality = quality.CPM(g, ws.top, ws.opt.Resolution)
+		res.Quality = sums.CPM(ws.opt.Resolution)
 	default:
 		if ws.opt.Resolution == 1 {
 			res.Quality = res.Modularity
 		} else {
-			res.Quality = quality.ModularityResolution(g, ws.top, ws.opt.Resolution)
+			res.Quality = sums.Modularity(ws.opt.Resolution)
 		}
 	}
 	return res

@@ -25,14 +25,20 @@ func Louvain(g *graph.CSR, opt Options) *Result {
 			"vertices": g.NumVertices(), "arcs": g.NumArcs(), "threads": opt.Threads,
 		})
 	}
-	start := now()
-	runLouvain(g, ws)
-	if opt.FinalRefine {
-		ws.finalRefine(g)
-	}
-	res := finishResult(g, ws, time.Since(start))
+	res := ws.louvain(g)
 	run.End()
 	return res
+}
+
+// louvain is leiden's counterpart for Louvain: the passes, the optional
+// final refinement, and the densified result.
+func (ws *workspace) louvain(g *graph.CSR) *Result {
+	start := now()
+	runLouvain(g, ws)
+	if ws.opt.FinalRefine {
+		ws.finalRefine(g)
+	}
+	return finishResult(g, ws, time.Since(start))
 }
 
 func runLouvain(g *graph.CSR, ws *workspace) {
@@ -48,17 +54,10 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		psp := ws.beginPass("louvain", pass, n, ps.Arcs)
 
 		t0 := now()
-		k := ws.k[:n]
-		ws.vertexWeights(cur, k)
-		if pass == 0 {
-			ws.m = opt.Pool.SumFloat64(k, opt.Threads) / 2
-			if ws.m == 0 {
-				ws.endPass("louvain", pass, &ps, psp)
-				return
-			}
-			opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
+		if !ws.startPass(cur, pass, nil) { // Louvain passes start singleton
+			ws.endPass("louvain", pass, &ps, psp)
+			return
 		}
-		ws.initialCommunities(n, false) // Louvain passes start singleton
 		ps.Other += time.Since(t0)
 		var coloring *color.Coloring
 		if opt.Deterministic {
@@ -103,7 +102,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		t0 = now()
 		sp = opt.Tracer.Begin("aggregate", 0)
 		next, occ := ws.aggregate(cur, nComms)
-		ws.aggregateSizes(n, nComms)
+		ws.sizes.rollup(opt, comm, nComms)
 		sp.End()
 		ps.AggOccupancy = occ
 		ps.Aggregate = time.Since(t0)

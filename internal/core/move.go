@@ -124,18 +124,19 @@ func (ws *workspace) moveVertex(g *graph.CSR, h *hashtable.Accumulator, comm []u
 	d := commLoad(comm, u)
 	h.Clear()
 	scanCommunities(h, g, comm, u, false)
+	sz := ws.sizes
 	ki := ws.k[u]
-	si := ws.vsize[u]
+	si := sz.vertex(u)
 	kid := h.Get(d)
 	sd := ws.sigma.Get(int(d))
-	nd := ws.csize.Get(int(d))
+	nd := sz.comm(d)
 	bestC := d
 	bestDQ := 0.0
 	for _, c := range h.Keys() {
 		if c == d {
 			continue
 		}
-		dq := ws.delta(h.Get(c), kid, ki, ws.sigma.Get(int(c)), sd, si, ws.csize.Get(int(c)), nd)
+		dq := ws.delta(h.Get(c), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
 		if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
 			bestDQ = dq
 			bestC = c
@@ -167,11 +168,12 @@ func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint
 		}
 		f.Add(commLoad(comm, e), float64(wts[k]))
 	}
+	sz := ws.sizes
 	ki := ws.k[u]
-	si := ws.vsize[u]
+	si := sz.vertex(u)
 	kid := f.Get(d)
 	sd := ws.sigma.Get(int(d))
-	nd := ws.csize.Get(int(d))
+	nd := sz.comm(d)
 	bestC := d
 	bestDQ := 0.0
 	for i := 0; i < f.Len(); i++ {
@@ -179,7 +181,7 @@ func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint
 		if c == d {
 			continue
 		}
-		dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(c)), sd, si, ws.csize.Get(int(c)), nd)
+		dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
 		if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
 			bestDQ = dq
 			bestC = c
@@ -219,8 +221,7 @@ func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint
 func (ws *workspace) applyMove(g *graph.CSR, comm []uint32, u, d, bestC uint32, ki, si, scannedGain float64) float64 {
 	sd := ws.sigma.FetchAdd(int(d), -ki) // Σ'[C'[i]] -= K'[i]
 	sc := ws.sigma.FetchAdd(int(bestC), ki)
-	nd := ws.csize.FetchAdd(int(d), -si)
-	nc := ws.csize.FetchAdd(int(bestC), si)
+	nd, nc := ws.sizes.move(d, bestC, si)
 	commStore(comm, u, bestC)
 	es, wts := g.Neighbors(u)
 	var kic, kid float64

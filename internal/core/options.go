@@ -99,12 +99,15 @@ type Objective int
 
 const (
 	// ObjectiveModularity optimizes generalized modularity (Equation 1
-	// with resolution γ) — the paper's setting.
+	// with resolution γ) — the paper's setting. Its gain (Equation 2)
+	// reads only K' and Σ', so the run keeps no size state.
 	ObjectiveModularity Objective = iota
 	// ObjectiveCPM optimizes the Constant Potts Model (Traag et al.
 	// 2011), the resolution-limit-free quality function the paper
 	// points to in §2. γ is the CPM density threshold: a community is
-	// worth keeping only if its internal edge density exceeds γ.
+	// worth keeping only if its internal edge density exceeds γ. Only
+	// CPM runs allocate and maintain the vertex and community sizes
+	// its gain ΔH reads (sizeState, 24 bytes per input vertex).
 	ObjectiveCPM
 )
 
@@ -139,7 +142,8 @@ type Options struct {
 	// Resolution is the γ of the quality function: generalized
 	// modularity's resolution (1 = classic) or CPM's density threshold.
 	Resolution float64
-	// Objective selects modularity (default) or CPM optimization.
+	// Objective selects modularity (default) or CPM optimization, and
+	// with it whether the run keeps CPM's size state (CPM only).
 	Objective Objective
 	// DisablePruning turns off flag-based vertex pruning, so every
 	// iteration of the local-moving phase rescans every vertex. Exists

@@ -9,16 +9,11 @@ import (
 	"gveleiden/internal/quality"
 )
 
-// setupPass builds a workspace and runs the pass-0 initialization
-// exactly as runLeiden does, returning the workspace ready for phases.
+// setupPass builds a workspace and runs runLeiden's own pass-0
+// initialization, returning the workspace ready for phases.
 func setupPass(g *graph.CSR, opt Options) *workspace {
-	opt = opt.normalize()
-	ws := newWorkspace(g, opt)
-	n := g.NumVertices()
-	ws.vertexWeights(g, ws.k[:n])
-	ws.m = opt.Pool.SumFloat64(ws.k[:n], opt.Threads) / 2
-	opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
-	ws.initialCommunities(n, false)
+	ws := newWorkspace(g, opt.normalize())
+	ws.startPass(g, 0, nil)
 	return ws
 }
 
@@ -69,10 +64,7 @@ func TestRefinementIsRefinementOfBounds(t *testing.T) {
 		ws := setupPass(g, opt)
 		n := g.NumVertices()
 		ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
-		copy(ws.bounds[:n], ws.comm[:n])
-		ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
-		ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
-		ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
+		ws.startRefine(n)
 		ws.refinePhase(g)
 		if !quality.IsRefinementOf(ws.comm[:n], ws.bounds[:n]) {
 			t.Fatalf("%v: refinement crossed community bounds", mode)
@@ -88,10 +80,7 @@ func TestRefinementSubCommunitiesConnected(t *testing.T) {
 	ws := setupPass(g, testOpts(8))
 	n := g.NumVertices()
 	ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
-	copy(ws.bounds[:n], ws.comm[:n])
-	ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
-	ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
-	ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
+	ws.startRefine(n)
 	ws.refinePhase(g)
 	if ds := quality.CountDisconnected(g, ws.comm[:n], 4); ds.Disconnected != 0 {
 		t.Fatalf("%d refined sub-communities are internally disconnected", ds.Disconnected)
@@ -103,10 +92,7 @@ func TestRefineSigmaConsistent(t *testing.T) {
 	ws := setupPass(g, testOpts(8))
 	n := g.NumVertices()
 	ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
-	copy(ws.bounds[:n], ws.comm[:n])
-	ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
-	ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
-	ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
+	ws.startRefine(n)
 	ws.refinePhase(g)
 	want := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -128,10 +114,7 @@ func TestAggregatePreservesWeightAndModularity(t *testing.T) {
 	ws := setupPass(g, testOpts(4))
 	n := g.NumVertices()
 	ws.movePhase(g, ws.opt.Tolerance, 0, &PassStats{})
-	copy(ws.bounds[:n], ws.comm[:n])
-	ws.opt.Pool.Iota(ws.comm[:n], ws.opt.Threads)
-	ws.sigma.CopyFrom(ws.opt.Pool, ws.k[:n], ws.opt.Threads)
-	ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
+	ws.startRefine(n)
 	ws.refinePhase(g)
 	refined := append([]uint32(nil), ws.comm[:n]...)
 	nComms := ws.renumber(ws.comm[:n], n)

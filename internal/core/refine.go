@@ -23,6 +23,7 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 	threads, grain := ws.opt.Threads, ws.opt.Grain
 	comm := ws.comm[:n]
 	bounds := ws.bounds[:n]
+	sz := ws.sizes
 	greedy := ws.opt.Refinement == RefineGreedy
 	ws.zeroMoved()
 	ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
@@ -59,9 +60,7 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 					ws.sigma.Set(int(c), ki)
 					continue
 				}
-				si := ws.vsize[u]
-				ws.csize.Add(int(c), -si)
-				ws.csize.Add(int(target), si)
+				sz.move(c, target, sz.vertex(u))
 				commStore(comm, u, target)
 				local++
 			}
@@ -91,17 +90,18 @@ func scanBounded(h *hashtable.Accumulator, g *graph.CSR, bounds, comm []uint32, 
 // bestBounded returns the sub-community with maximum positive
 // delta-modularity for the greedy refinement variant.
 func (ws *workspace) bestBounded(h *hashtable.Accumulator, c, u uint32, ki float64) (uint32, bool) {
+	sz := ws.sizes
 	kid := h.Get(c)
 	sd := ws.sigma.Get(int(c))
-	si := ws.vsize[u]
-	nd := ws.csize.Get(int(c))
+	si := sz.vertex(u)
+	nd := sz.comm(c)
 	bestC := c
 	bestDQ := 0.0
 	for _, cand := range h.Keys() {
 		if cand == c {
 			continue
 		}
-		dq := ws.delta(h.Get(cand), kid, ki, ws.sigma.Get(int(cand)), sd, si, ws.csize.Get(int(cand)), nd)
+		dq := ws.delta(h.Get(cand), kid, ki, ws.sigma.Get(int(cand)), sd, si, sz.comm(cand), nd)
 		if dq > bestDQ || (dq == bestDQ && dq > 0 && cand < bestC) {
 			bestDQ = dq
 			bestC = cand
@@ -114,12 +114,13 @@ func (ws *workspace) bestBounded(h *hashtable.Accumulator, c, u uint32, ki float
 // to its (positive) delta-modularity — the randomized refinement of the
 // original Leiden algorithm, driven by a per-thread xorshift32 stream.
 func (ws *workspace) randomBounded(h *hashtable.Accumulator, c, u uint32, ki float64, rng *prng.Xorshift32) (uint32, bool) {
+	sz := ws.sizes
 	kid := h.Get(c)
 	sd := ws.sigma.Get(int(c))
-	si := ws.vsize[u]
-	nd := ws.csize.Get(int(c))
+	si := sz.vertex(u)
+	nd := sz.comm(c)
 	cand := func(cc uint32) float64 {
-		return ws.delta(h.Get(cc), kid, ki, ws.sigma.Get(int(cc)), sd, si, ws.csize.Get(int(cc)), nd)
+		return ws.delta(h.Get(cc), kid, ki, ws.sigma.Get(int(cc)), sd, si, sz.comm(cc), nd)
 	}
 	var total float64
 	for _, cc := range h.Keys() {

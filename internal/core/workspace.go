@@ -46,15 +46,13 @@ type workspace struct {
 	top     []uint32 // C: top-level membership over input vertices
 	k       []float64
 	sigma   *parallel.Float64s
-	vsize   []float64          // vertices folded into each super-vertex (CPM's n_c term)
-	vsizeNx []float64          // next pass's vsize, filled after aggregation
-	csize   *parallel.Float64s // per-community vertex count
-	comm    []uint32           // C'
-	bounds  []uint32           // C'_B
-	initC   []uint32           // initial communities of the next pass's vertices
-	lbl     []uint32           // move-community representative labels
-	scratch []uint32           // renumbering / existence buffer
-	cursor  []uint32           // aggregation placement cursors
+	sizes   *sizeState // CPM's vertex and community sizes; nil under modularity
+	comm    []uint32   // C'
+	bounds  []uint32   // C'_B
+	initC   []uint32   // initial communities of the next pass's vertices
+	lbl     []uint32   // move-community representative labels
+	scratch []uint32   // renumbering / existence buffer
+	cursor  []uint32   // aggregation placement cursors
 	flags   *parallel.Flags
 	dq      []parallel.Padded[float64] // per-thread ΔQ partial sums (decision-time gains)
 	rq      []parallel.Padded[float64] // per-thread realized-ΔQ partial sums (asynchronous moves)
@@ -62,8 +60,7 @@ type workspace struct {
 	mc      []mcSlot                   // per-thread local-moving work counters
 	agg     []parallel.Padded[int64]   // per-thread aggregation arc counters
 	arenas  [2]arena
-	sizeAgg *parallel.Float64s // grown-once size-rollup arena (aggregateSizes)
-	movers  [][]mover          // per-thread decision buffers (deterministic kernels)
+	movers  [][]mover // per-thread decision buffers (deterministic kernels)
 	// Split scratch: grown-once buffers for the connectivity splits that
 	// close out a run (component labels, label-kept flags, BFS stack).
 	splitOut   []uint32
@@ -93,9 +90,6 @@ func newWorkspace(g *graph.CSR, opt Options) *workspace {
 		top:     make([]uint32, n),
 		k:       make([]float64, n),
 		sigma:   parallel.NewFloat64s(n),
-		vsize:   make([]float64, n),
-		vsizeNx: make([]float64, n),
-		csize:   parallel.NewFloat64s(n),
 		comm:    make([]uint32, n),
 		bounds:  make([]uint32, n),
 		initC:   make([]uint32, n),
@@ -108,8 +102,10 @@ func newWorkspace(g *graph.CSR, opt Options) *workspace {
 		moved:   make([]parallel.Padded[int64], t),
 		mc:      make([]mcSlot, t),
 		agg:     make([]parallel.Padded[int64], t),
-		sizeAgg: parallel.NewFloat64s(n),
 		movers:  make([][]mover, t),
+	}
+	if opt.Objective == ObjectiveCPM {
+		ws.sizes = newSizeState(n)
 	}
 	ws.arenas[0] = newArena(n, arcs)
 	ws.arenas[1] = newArena(n, arcs)
@@ -136,29 +132,54 @@ func (ws *workspace) vertexWeights(g *graph.CSR, k []float64) {
 	})
 }
 
-// initialCommunities sets comm, sigma and csize for the start of a
-// pass: either the move-based labels carried over from the previous
-// aggregation (haveInit) or fresh singletons.
-func (ws *workspace) initialCommunities(n int, haveInit bool) {
+// startPass computes the pass's vertex weights K' and, on pass 0, the
+// total weight m and the unit vertex sizes, then starts the pass's
+// communities from init (nil: singletons). It reports false for a graph
+// without edges, where every vertex stays its own community.
+func (ws *workspace) startPass(g *graph.CSR, pass int, init []uint32) bool {
+	n := g.NumVertices()
+	k := ws.k[:n]
+	ws.vertexWeights(g, k)
+	if pass == 0 {
+		ws.m = ws.opt.Pool.SumFloat64(k, ws.opt.Threads) / 2
+		if ws.m == 0 {
+			return false
+		}
+		ws.sizes.unit(ws.opt, n)
+	}
+	ws.initialCommunities(n, init)
+	return true
+}
+
+// startRefine makes the move-phase communities the refinement bounds
+// C'_B and resets memberships and community totals to singletons.
+func (ws *workspace) startRefine(n int) {
+	copy(ws.bounds[:n], ws.comm[:n])
+	ws.initialCommunities(n, nil)
+}
+
+// initialCommunities sets comm, Σ' and (for CPM) the community sizes:
+// to the labels in init — the move-based labels carried over from the
+// previous aggregation, or a membership to refine — or, with init nil,
+// to singletons.
+func (ws *workspace) initialCommunities(n int, init []uint32) {
 	comm := ws.comm[:n]
 	k := ws.k[:n]
 	ws.sigma.Resize(n)
-	ws.csize.Resize(n)
-	if !haveInit {
+	if init == nil {
 		ws.opt.Pool.Iota(comm, ws.opt.Threads)
 		ws.sigma.CopyFrom(ws.opt.Pool, k, ws.opt.Threads)
-		ws.csize.CopyFrom(ws.opt.Pool, ws.vsize[:n], ws.opt.Threads)
+		ws.sizes.singletons(ws.opt, n)
 		return
 	}
-	copy(comm, ws.initC[:n]) //gvevet:exclusive pass boundary: initC was last stored in the previous pass's moveLabels, behind two pool barriers
+	copy(comm, init)
 	ws.sigma.Zero(ws.opt.Pool, ws.opt.Threads)
-	ws.csize.Zero(ws.opt.Pool, ws.opt.Threads)
 	ws.opt.Pool.For(n, ws.opt.Threads, ws.opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			ws.sigma.Add(int(comm[i]), k[i])
-			ws.csize.Add(int(comm[i]), ws.vsize[i])
 		}
 	})
+	ws.sizes.group(ws.opt, comm)
 }
 
 // delta evaluates the gain of moving a vertex (weighted degree ki, size
@@ -170,6 +191,8 @@ func (ws *workspace) initialCommunities(n int, haveInit bool) {
 //
 // Both are normalized by m so the iteration tolerance τ means the same
 // thing for either objective (and ΔH/m matches quality.CPM's scale).
+// Modularity never reads si, nc or nd, which its callers pass as zero:
+// a modularity run keeps no size state (see sizeState).
 func (ws *workspace) delta(kic, kid, ki, sc, sd, si, nc, nd float64) float64 {
 	if ws.opt.Objective == ObjectiveCPM {
 		return ((kic - kid) - ws.opt.Resolution*si*(nc+si-nd)) / ws.m
@@ -177,27 +200,101 @@ func (ws *workspace) delta(kic, kid, ki, sc, sd, si, nc, nd float64) float64 {
 	return (kic-kid)/ws.m - ws.opt.Resolution*ki*(ki+sc-sd)/(2*ws.m*ws.m)
 }
 
-// aggregateSizes rolls the per-vertex sizes up into the next level's
-// super-vertices (vsize'[c] = Σ_{i∈c} vsize[i]) and swaps the buffers.
-// The atomic accumulation runs in ws.sizeAgg, a grown-once arena sized
-// for the pass-0 graph, so levels reuse one allocation instead of
-// allocating a fresh Float64s per pass (GC pressure that compounds at
-// millions of vertices).
-func (ws *workspace) aggregateSizes(n, nComms int) {
-	comm := ws.comm[:n]
-	next := ws.vsizeNx[:nComms]
-	agg := ws.sizeAgg
-	agg.Resize(nComms)
-	agg.Zero(ws.opt.Pool, ws.opt.Threads)
-	ws.opt.Pool.For(n, ws.opt.Threads, ws.opt.Grain, func(lo, hi, _ int) {
+// sizeState is the Constant Potts Model's size state: the number of
+// input vertices folded into each super-vertex (s_i) and held by each
+// community (n_c), the terms ΔH reads and ΔQ does not. Only CPM runs
+// allocate it; under modularity workspace.sizes is nil, and every method
+// is a no-op returning zero sizes, so the move, refine and aggregate
+// kernels touch only K' and Σ'.
+type sizeState struct {
+	vsize []float64          // s_i: input vertices folded into each super-vertex
+	csize *parallel.Float64s // n_c: per-community vertex count
+	agg   *parallel.Float64s // grown-once size-rollup arena (rollup)
+}
+
+func newSizeState(n int) *sizeState {
+	return &sizeState{
+		vsize: make([]float64, n),
+		csize: parallel.NewFloat64s(n),
+		agg:   parallel.NewFloat64s(n),
+	}
+}
+
+// vertex returns s_u.
+func (s *sizeState) vertex(u uint32) float64 {
+	if s == nil {
+		return 0
+	}
+	return s.vsize[u]
+}
+
+// comm returns n_c.
+func (s *sizeState) comm(c uint32) float64 {
+	if s == nil {
+		return 0
+	}
+	return s.csize.Get(int(c))
+}
+
+// move transfers size si from community d to community c atomically and
+// returns the sizes the two held just before (n_d, n_c).
+func (s *sizeState) move(d, c uint32, si float64) (nd, nc float64) {
+	if s == nil {
+		return 0, 0
+	}
+	return s.csize.FetchAdd(int(d), -si), s.csize.FetchAdd(int(c), si)
+}
+
+// unit gives each of the n input vertices size 1.
+func (s *sizeState) unit(opt Options, n int) {
+	if s == nil {
+		return
+	}
+	opt.Pool.FillFloat64(s.vsize[:n], 1, opt.Threads)
+}
+
+// singletons sets n_c to the vertex sizes: every vertex alone.
+func (s *sizeState) singletons(opt Options, n int) {
+	if s == nil {
+		return
+	}
+	s.csize.Resize(n)
+	s.csize.CopyFrom(opt.Pool, s.vsize[:n], opt.Threads)
+}
+
+// group sets n_c to the summed vertex sizes of each community of comm.
+func (s *sizeState) group(opt Options, comm []uint32) {
+	if s == nil {
+		return
+	}
+	s.csize.Resize(len(comm))
+	s.csize.Zero(opt.Pool, opt.Threads)
+	opt.Pool.For(len(comm), opt.Threads, opt.Grain, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			agg.Add(int(comm[i]), ws.vsize[i])
+			s.csize.Add(int(comm[i]), s.vsize[i])
 		}
 	})
-	for i := range next {
-		next[i] = agg.Get(i)
+}
+
+// rollup folds the vertex sizes into the next level's super-vertices:
+// vsize'[c] = Σ_{i∈c} vsize[i]. The atomic accumulation runs in the
+// grown-once agg arena, sized for the pass-0 graph, so levels reuse one
+// allocation instead of allocating a fresh Float64s per pass (GC
+// pressure that compounds at millions of vertices).
+func (s *sizeState) rollup(opt Options, comm []uint32, nComms int) {
+	if s == nil {
+		return
 	}
-	copy(ws.vsize[:nComms], next)
+	s.agg.Resize(nComms)
+	s.agg.Zero(opt.Pool, opt.Threads)
+	opt.Pool.For(len(comm), opt.Threads, opt.Grain, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			s.agg.Add(int(comm[i]), s.vsize[i])
+		}
+	})
+	for c := 0; c < nComms; c++ {
+		s.vsize[c] = s.agg.Get(c)
+	}
 }
 
 // splitScratch returns the run's grown-once split buffers sized for n

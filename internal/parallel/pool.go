@@ -179,6 +179,10 @@ func (p *Pool) workerLoop(tid int, wake chan struct{}) {
 // threads <= 1 runs the whole range inline on tid 0. grain <= 0 uses
 // DefaultGrain. If the pool is busy (concurrent or nested region) or
 // closed, the region runs in spawn mode with identical semantics.
+//
+// A panic in body on the calling goroutine reaches the caller once
+// every worker has left the region; a panic on a worker goroutine
+// ends the process.
 func (p *Pool) For(n, threads, grain int, body func(lo, hi, tid int)) {
 	if n <= 0 {
 		return
@@ -208,7 +212,11 @@ func (p *Pool) For(n, threads, grain int, body func(lo, hi, tid int)) {
 }
 
 // forLocked runs one region on the persistent workers; the caller holds
-// p.mu, which forLocked releases when the region completes.
+// p.mu, which forLocked releases when the region completes. A panic in
+// the submitter's own share (tid 0) propagates only after the region
+// has drained: releasing p.mu while workers still run the old body
+// would let them claim the next region's ranges and count themselves
+// out of its pending total.
 func (p *Pool) forLocked(n, threads, grain int, body func(lo, hi, tid int)) {
 	defer p.mu.Unlock()
 	if threads > p.width {
@@ -227,7 +235,15 @@ func (p *Pool) forLocked(n, threads, grain int, body func(lo, hi, tid int)) {
 	for w := 0; w < threads-1; w++ {
 		p.wake[w] <- struct{}{}
 	}
+	defer p.drain()
 	p.work(0)
+}
+
+// drain retires the submitter from the current region and waits until
+// every worker has left it. Once the submitter stops claiming, the
+// workers still finish: each drains its own range, steals what it can
+// and leaves when a sweep finds nothing.
+func (p *Pool) drain() {
 	if p.pending.Add(-1) == 0 {
 		p.doneCh <- struct{}{}
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolForCoversEveryIndexOnce checks the stealing scheduler's core
@@ -157,6 +158,54 @@ func TestPoolNestedFor(t *testing.T) {
 	})
 	if inner.Load() != 4000 {
 		t.Fatalf("nested regions covered %d of 4000", inner.Load())
+	}
+}
+
+// TestPoolSubmitterPanicDrainsRegion panics in the submitter's share of
+// a region (tid 0) while the other worker is still busy in its own. The
+// panic must reach the caller only after that worker has left the
+// region, and the next region must cover every index exactly once: a
+// worker still running the old body would claim the new ranges with it.
+func TestPoolSubmitterPanicDrainsRegion(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	const n = 64
+	var returned atomic.Bool
+	var late atomic.Int32 // chunks of the first region run after it returned
+	started := make(chan struct{})
+	var once sync.Once
+	func() {
+		defer func() {
+			if v := recover(); v != "submitter panic" {
+				t.Fatalf("recovered %v, want the submitter's panic", v)
+			}
+		}()
+		p.For(n, 2, 1, func(lo, hi, tid int) {
+			if tid == 0 {
+				<-started // panic only once the other worker is in the region
+				panic("submitter panic")
+			}
+			once.Do(func() { close(started) })
+			time.Sleep(time.Millisecond)
+			if returned.Load() {
+				late.Add(1)
+			}
+		})
+	}()
+	returned.Store(true)
+	hits := make([]atomic.Int32, n)
+	p.For(n, 2, 1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			hits[i].Add(1)
+		}
+	})
+	if l := late.Load(); l != 0 {
+		t.Fatalf("%d chunks of the panicked region ran after its panic returned", l)
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Fatalf("region after the panic: index %d hit %d times", i, got)
+		}
 	}
 }
 

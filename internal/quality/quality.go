@@ -31,49 +31,8 @@ func Modularity(g *graph.CSR, membership []uint32) float64 {
 // parameter γ (γ=1 is classic modularity; larger γ favours smaller
 // communities, mitigating the resolution limit).
 func ModularityResolution(g *graph.CSR, membership []uint32, gamma float64) float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	// Accumulate per dense community index in slices, in first-occurrence
-	// order, so the floating-point summation order — and therefore the
-	// exact result — is deterministic across calls (map iteration order
-	// is not).
-	dense := make(map[uint32]uint32, 256)
-	idx := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		c := membership[i]
-		d, ok := dense[c]
-		if !ok {
-			d = uint32(len(dense))
-			dense[c] = d
-		}
-		idx[i] = d
-	}
-	sigma := make([]float64, len(dense)) // internal arc weight per community
-	total := make([]float64, len(dense)) // Σ_c
-	var twoM float64
-	for i := 0; i < n; i++ {
-		ci := idx[i]
-		es, ws := g.Neighbors(uint32(i))
-		for k, e := range es {
-			w := float64(ws[k])
-			twoM += w
-			total[ci] += w
-			if idx[e] == ci {
-				sigma[ci] += w
-			}
-		}
-	}
-	if twoM == 0 {
-		return 0
-	}
-	var q float64
-	for c := range sigma {
-		frac := total[c] / twoM
-		q += sigma[c]/twoM - gamma*frac*frac
-	}
-	return q
+	idx, k := denseLabels(g.NumVertices(), membership)
+	return Accumulate(g, idx, k).Modularity(gamma)
 }
 
 // CPM returns the Constant Potts Model quality of the membership:
@@ -84,10 +43,13 @@ func ModularityResolution(g *graph.CSR, membership []uint32, gamma float64) floa
 // CPM is resolution-limit-free (Traag et al. 2011); it is normalized
 // here by total edge weight so values are comparable across graphs.
 func CPM(g *graph.CSR, membership []uint32, gamma float64) float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
+	idx, k := denseLabels(g.NumVertices(), membership)
+	return Accumulate(g, idx, k).CPM(gamma)
+}
+
+// denseLabels renumbers the labels of the first n vertices densely, in
+// order of first occurrence, for Accumulate.
+func denseLabels(n int, membership []uint32) ([]uint32, int) {
 	dense := make(map[uint32]uint32, 256)
 	idx := make([]uint32, n)
 	for i := 0; i < n; i++ {
@@ -99,29 +61,76 @@ func CPM(g *graph.CSR, membership []uint32, gamma float64) float64 {
 		}
 		idx[i] = d
 	}
-	internal := make([]float64, len(dense))
-	size := make([]float64, len(dense))
-	var twoM float64
-	for i := 0; i < n; i++ {
-		ci := idx[i]
-		size[ci]++
+	return idx, len(dense)
+}
+
+// Sums are the per-community totals of one partition that modularity
+// and CPM are computed from. Accumulate builds them in one sweep in
+// vertex order, and the reductions add the communities up in order of
+// first occurrence. Every labelling of the same partition therefore
+// gives the same bits, and a caller whose labels are already dense
+// needs no label map.
+type Sums struct {
+	internal []float64 // internal arc weight per community (σ_c; self-loops once)
+	total    []float64 // total weighted degree per community (Σ_c)
+	size     []float64 // vertices per community (n_c)
+	order    []uint32  // communities in order of first occurrence
+	twoM     float64   // total arc weight
+}
+
+// Accumulate sums, for labels dense in [0, k) over g's vertices, each
+// community's internal arc weight, weighted degree and size.
+func Accumulate(g *graph.CSR, labels []uint32, k int) Sums {
+	s := Sums{
+		internal: make([]float64, k),
+		total:    make([]float64, k),
+		size:     make([]float64, k),
+		order:    make([]uint32, 0, k),
+	}
+	for i := 0; i < g.NumVertices(); i++ {
+		ci := labels[i]
+		if s.size[ci] == 0 {
+			s.order = append(s.order, ci)
+		}
+		s.size[ci]++
 		es, ws := g.Neighbors(uint32(i))
-		for k, e := range es {
-			w := float64(ws[k])
-			twoM += w
-			if idx[e] == ci {
-				internal[ci] += w
+		for j, e := range es {
+			w := float64(ws[j])
+			s.twoM += w
+			s.total[ci] += w
+			if labels[e] == ci {
+				s.internal[ci] += w
 			}
 		}
 	}
-	if twoM == 0 {
+	return s
+}
+
+// Modularity returns generalized modularity with resolution γ
+// (Equation 1): Q = Σ_c [ σ_c/(2m) − γ(Σ_c/(2m))² ].
+func (s Sums) Modularity(gamma float64) float64 {
+	if s.twoM == 0 {
+		return 0
+	}
+	var q float64
+	for _, c := range s.order {
+		frac := s.total[c] / s.twoM
+		q += s.internal[c]/s.twoM - gamma*frac*frac
+	}
+	return q
+}
+
+// CPM returns the Constant Potts Model quality with density threshold
+// γ, normalized by the total edge weight m.
+func (s Sums) CPM(gamma float64) float64 {
+	if s.twoM == 0 {
 		return 0
 	}
 	var h float64
-	for c := range internal {
-		h += internal[c]/2 - gamma*size[c]*(size[c]-1)/2
+	for _, c := range s.order {
+		h += s.internal[c]/2 - gamma*s.size[c]*(s.size[c]-1)/2
 	}
-	return h / (twoM / 2)
+	return h / (s.twoM / 2)
 }
 
 // DeltaModularity returns ΔQ of moving vertex i from community d to c

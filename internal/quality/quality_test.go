@@ -311,3 +311,139 @@ func TestMetricsOnIsolatedVertices(t *testing.T) {
 		t.Fatalf("edgeless graph reported disconnected communities: %+v", ds)
 	}
 }
+
+// refModularity and refCPM are the label-map accumulations Modularity
+// and CPM ran before Accumulate, kept as the bit-exact reference.
+func refModularity(g *graph.CSR, membership []uint32, gamma float64) float64 {
+	idx, k := refDense(g.NumVertices(), membership)
+	sigma := make([]float64, k)
+	total := make([]float64, k)
+	var twoM float64
+	for i := 0; i < g.NumVertices(); i++ {
+		ci := idx[i]
+		es, ws := g.Neighbors(uint32(i))
+		for j, e := range es {
+			w := float64(ws[j])
+			twoM += w
+			total[ci] += w
+			if idx[e] == ci {
+				sigma[ci] += w
+			}
+		}
+	}
+	if twoM == 0 {
+		return 0
+	}
+	var q float64
+	for c := range sigma {
+		frac := total[c] / twoM
+		q += sigma[c]/twoM - gamma*frac*frac
+	}
+	return q
+}
+
+func refCPM(g *graph.CSR, membership []uint32, gamma float64) float64 {
+	idx, k := refDense(g.NumVertices(), membership)
+	internal := make([]float64, k)
+	size := make([]float64, k)
+	var twoM float64
+	for i := 0; i < g.NumVertices(); i++ {
+		ci := idx[i]
+		size[ci]++
+		es, ws := g.Neighbors(uint32(i))
+		for j, e := range es {
+			w := float64(ws[j])
+			twoM += w
+			if idx[e] == ci {
+				internal[ci] += w
+			}
+		}
+	}
+	if twoM == 0 {
+		return 0
+	}
+	var h float64
+	for c := range internal {
+		h += internal[c]/2 - gamma*size[c]*(size[c]-1)/2
+	}
+	return h / (twoM / 2)
+}
+
+func refDense(n int, membership []uint32) ([]uint32, int) {
+	dense := map[uint32]uint32{}
+	idx := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		d, ok := dense[membership[i]]
+		if !ok {
+			d = uint32(len(dense))
+			dense[membership[i]] = d
+		}
+		idx[i] = d
+	}
+	return idx, len(dense)
+}
+
+// TestAccumulateMatchesMapPath checks the dense kernel bit for bit
+// against the label-map reference: through the public functions on
+// non-dense labels, and directly on dense labels numbered in a random
+// order rather than by first occurrence.
+func TestAccumulateMatchesMapPath(t *testing.T) {
+	web, webTruth := gen.WebGraph(3000, 10, 4)
+	road, roadTruth := gen.RoadNetwork(3000, 6)
+	rng := prng.NewXorshift32(5)
+	b := graph.NewBuilder(1500)
+	for i := 0; i < 6000; i++ {
+		b.AddEdge(rng.Uintn(1500), rng.Uintn(1500), float32(rng.Float64()*3))
+	}
+	weighted := b.Build()
+	randomLabels := make([]uint32, 1500)
+	for i := range randomLabels {
+		randomLabels[i] = rng.Uintn(40)
+	}
+	cases := []struct {
+		name   string
+		g      *graph.CSR
+		labels []uint32
+	}{
+		{"web", web, webTruth},
+		{"road", road, roadTruth},
+		{"weighted", weighted, randomLabels},
+	}
+	for _, c := range cases {
+		n := c.g.NumVertices()
+		// Spread the labels out so they are neither dense nor ordered.
+		sparse := make([]uint32, n)
+		for i, l := range c.labels[:n] {
+			sparse[i] = uint32(n-1) - (l*7919)%uint32(n)
+		}
+		// Dense labels in a random order: first occurrence, permuted.
+		first, k := refDense(n, c.labels)
+		perm := make([]uint32, k)
+		for i := range perm {
+			perm[i] = uint32(i)
+		}
+		for i := k - 1; i > 0; i-- {
+			j := rng.Uintn(uint32(i + 1))
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		permuted := make([]uint32, n)
+		for i, d := range first {
+			permuted[i] = perm[d]
+		}
+		sums := Accumulate(c.g, permuted, k)
+		for _, gamma := range []float64{1, 0.4, 1.7} {
+			wantQ, wantH := refModularity(c.g, c.labels, gamma), refCPM(c.g, c.labels, gamma)
+			for _, got := range []struct {
+				what string
+				q, h float64
+			}{
+				{"map path", ModularityResolution(c.g, sparse, gamma), CPM(c.g, sparse, gamma)},
+				{"dense kernel", sums.Modularity(gamma), sums.CPM(gamma)},
+			} {
+				if math.Float64bits(got.q) != math.Float64bits(wantQ) || math.Float64bits(got.h) != math.Float64bits(wantH) {
+					t.Errorf("%s γ=%v %s: Q %v H %v, reference %v %v", c.name, gamma, got.what, got.q, got.h, wantQ, wantH)
+				}
+			}
+		}
+	}
+}

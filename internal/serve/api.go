@@ -95,7 +95,7 @@ type StatsResponse struct {
 	Depth       int       `json:"depth"` // dendrogram depth
 
 	Recomputes    int64  `json:"recomputes"` // published snapshot swaps (incl. the initial build)
-	Rejections    int64  `json:"rejections"` // candidates the oracle gate refused to publish
+	Rejections    int64  `json:"rejections"` // candidates not published: gate failures and recovered panics
 	LastRejection string `json:"last_rejection,omitempty"`
 
 	PendingInsertions int `json:"pending_insertions"` // ingested, not yet in a snapshot

@@ -15,6 +15,8 @@
 // differential quality bound against the previous snapshot before the
 // pointer swap; a rejected candidate leaves the previous snapshot
 // serving and is counted, logged, and visible in /metrics and /stats.
+// A panic in the recompute is handled the same way: the worker recovers
+// it, re-queues the delta and records "panic: …" in the flight record.
 //
 // This is the paper's stated deployment shape for the dynamic
 // direction of §4.1: detection as a long-lived service over an evolving
@@ -25,8 +27,7 @@
 //
 //   - serve.go: Server lifecycle — construction, the recompute worker,
 //     the oracle gate, Close.
-//   - snapshot.go: the immutable Snapshot and its derived indexes
-//     (members index, flattened per-depth hierarchy).
+//   - snapshot.go: the immutable Snapshot and its members index.
 //   - handlers.go: the HTTP query handlers; each does one atomic
 //     snapshot load and answers from immutable state.
 //   - api.go: the JSON wire types shared by server and client.

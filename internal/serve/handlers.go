@@ -155,17 +155,12 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	depth := snap.Depth()
-	levels := make([]uint32, 0, depth)
-	for d := 1; d <= depth; d++ {
-		c, _ := snap.CommunityAtDepth(v, d)
-		levels = append(levels, c)
-	}
+	levels := snap.Ancestry(v)
 	final, _ := snap.Community(v)
 	writeJSON(w, http.StatusOK, HierarchyResponse{
 		Version: snap.Version,
 		Vertex:  v,
-		Depth:   depth,
+		Depth:   len(levels),
 		Levels:  levels,
 		Final:   final,
 	})
@@ -269,7 +264,7 @@ func (s *Server) gatherMetrics() *observe.MetricSet {
 	ms.Gauge("gveserve_snapshot_modularity", "Modularity of the published snapshot.", snap.Result.Modularity)
 	ms.Gauge("gveserve_snapshot_age_seconds", "Seconds since the published snapshot was built.", time.Since(snap.BuiltAt).Seconds())
 	ms.Counter("gveserve_recomputes_total", "Published snapshot swaps, including the initial build.", float64(s.recomputes.Load()))
-	ms.Counter("gveserve_recompute_rejections_total", "Candidate partitions rejected by the oracle gate.", float64(s.rejections.Load()))
+	ms.Counter("gveserve_recompute_rejections_total", "Candidate partitions rejected by the oracle gate or by a recovered panic.", float64(s.rejections.Load()))
 	ms.Counter("gveserve_delta_batches_total", "Ingested delta batches by outcome.",
 		float64(s.deltaOK.Load()), observe.L("status", "accepted"))
 	ms.Counter("gveserve_delta_batches_total", "Ingested delta batches by outcome.",

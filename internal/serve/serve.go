@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +91,7 @@ type Server struct {
 	done   chan struct{}
 
 	recomputes atomic.Int64 // published swaps, including the initial build
-	rejections atomic.Int64 // oracle-gate refusals
+	rejections atomic.Int64 // refused candidates: gate failures and recovered panics
 	deltaOK    atomic.Int64 // accepted delta batches
 	deltaBad   atomic.Int64 // rejected delta batches
 
@@ -210,7 +212,8 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 // Telemetry returns the server's continuous telemetry aggregator.
 func (s *Server) Telemetry() *observe.Telemetry { return s.tel }
 
-// Rejections returns the number of candidates the oracle gate refused.
+// Rejections returns the number of candidates refused: those the
+// oracle gate failed and those whose recompute panicked.
 func (s *Server) Rejections() int64 { return s.rejections.Load() }
 
 // Recomputes returns the number of published snapshots.
@@ -285,7 +288,9 @@ func (s *Server) worker(ctx context.Context) {
 // Leiden on the current mutable graph, gates the candidate, and — only
 // on a clean gate — publishes it. On rejection the consumed delta is
 // prepended back so the next candidate still describes the transition
-// from the (unchanged) published snapshot.
+// from the (unchanged) published snapshot. A panic in the run, the gate
+// or the index build counts as a rejection too (see candidate), so the
+// published snapshot keeps serving and no ingested delta is lost.
 func (s *Server) recompute() {
 	var took [numStages]time.Duration
 	s.mu.Lock()
@@ -298,54 +303,74 @@ func (s *Server) recompute() {
 	s.mu.Unlock()
 
 	prev := s.snap.Load()
-	opt := s.runOptions()
 	start := time.Now()
-	var (
-		res  *core.Result
-		h    *core.Hierarchy
-		warm bool
-	)
-	if prev != nil {
-		delta := core.Delta{Insertions: ins, Deletions: del}
-		res, h = core.LeidenDynamicHierarchy(g, prev.Result.Membership, delta, s.cfg.Mode, opt)
-		warm = true
-	} else {
-		res, h = core.LeidenHierarchy(g, opt)
-	}
-	elapsed := time.Since(start)
-	took[stageRun] = elapsed
-	s.lat["recompute_run"].ObserveDuration(elapsed)
-
-	t = time.Now()
-	err := s.gate(g, res, prev)
-	took[stageGate] = time.Since(t)
+	res, next, err := s.candidate(g, edges, core.Delta{Insertions: ins, Deletions: del}, prev, &took)
 	if err != nil {
-		s.rejections.Add(1)
-		s.rejMu.Lock()
-		s.lastRej = err.Error()
-		s.rejMu.Unlock()
 		// Re-queue the consumed delta ahead of anything ingested while
 		// the run was in flight.
 		s.mu.Lock()
 		s.pendingIns = append(ins, s.pendingIns...)
 		s.pendingDel = append(del, s.pendingDel...)
 		s.mu.Unlock()
-		s.recordRun("serve-recompute", res, g, start, "failed: "+err.Error())
-		s.logger.Warn("recompute rejected by oracle gate",
+		s.rejMu.Lock()
+		s.lastRej = err.Error()
+		s.rejMu.Unlock()
+		check := "failed: " + err.Error()
+		if errors.As(err, new(recovered)) {
+			check = err.Error()
+		}
+		s.recordRun("serve-recompute", res, g, start, check)
+		// Counted last: a caller that sees the count sees the rest.
+		s.rejections.Add(1)
+		s.logger.Warn("recompute rejected",
 			slog.String("error", err.Error()),
 			slog.Uint64("serving_version", prev.Version),
-			slog.Duration("elapsed", elapsed))
+			slog.Duration("elapsed", time.Since(start)))
 		return
 	}
-
-	t = time.Now()
-	next := newSnapshot(g, edges, res, h, prev.Version+1, warm)
-	took[stageIndex] = time.Since(t)
 	s.snap.Store(next)
 	s.recomputes.Add(1)
 	s.observeStages(took)
 	s.recordRun("serve-recompute", res, g, start, "passed")
-	s.logSwap(next, elapsed)
+	s.logSwap(next, took[stageRun])
+}
+
+// recovered is a panic that candidate turned into a rejection; its text
+// is "panic: <value>".
+type recovered struct{ value any }
+
+func (r recovered) Error() string { return fmt.Sprintf("panic: %v", r.value) }
+
+// candidate runs the warm detection on g, gates the result and builds
+// the snapshot that would replace prev, timing each stage into took. It
+// returns the run's result (nil when the run panicked) and either the
+// snapshot or the reason there is none: the gate's error, or a
+// recovered panic. Panics raised on this goroutine are recovered,
+// including in its own share of a parallel region, which the pool
+// drains before the panic reaches here; one raised on a pool worker
+// goroutine still ends the process.
+func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Snapshot, took *[numStages]time.Duration) (res *core.Result, next *Snapshot, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			next, err = nil, recovered{v}
+			s.logger.Error("recompute panicked",
+				slog.Any("panic", v), slog.String("stack", string(debug.Stack())))
+		}
+	}()
+	start := time.Now()
+	res, h := core.LeidenDynamicHierarchy(g, prev.Result.Membership, delta, s.cfg.Mode, s.runOptions())
+	took[stageRun] = time.Since(start)
+	s.lat["recompute_run"].ObserveDuration(took[stageRun])
+
+	t := time.Now()
+	if err := s.gate(g, res, prev); err != nil {
+		return res, nil, err
+	}
+	took[stageGate] = time.Since(t)
+	t = time.Now()
+	next = newSnapshot(g, edges, res, h, prev.Version+1, true)
+	took[stageIndex] = time.Since(t)
+	return res, next, nil
 }
 
 // gate runs the invariant suite on a candidate: CSR well-formedness,
@@ -379,29 +404,31 @@ func (s *Server) observeStages(took [numStages]time.Duration) {
 	}
 }
 
+// recordRun writes the flight record of one run; res is nil for a run
+// that panicked, which records only the graph and the check.
 func (s *Server) recordRun(algo string, res *core.Result, g *graph.CSR, start time.Time, check string) {
-	var dq float64
-	for _, ps := range res.Stats.Passes {
-		dq += ps.DeltaQ
-	}
-	rec := s.tel.RecordRun(observe.RunRecord{
+	rec := observe.RunRecord{
 		Algorithm:   algo,
 		Start:       start,
 		WallSeconds: time.Since(start).Seconds(),
 		Vertices:    g.NumVertices(),
 		Arcs:        g.NumArcs(),
 		Threads:     s.cfg.Options.Threads,
-		Passes:      res.Passes,
-		Iterations:  res.Stats.TotalIterations(),
-		Moves:       res.Stats.TotalMoves(),
-		DeltaQ:      dq,
-		Communities: res.NumCommunities,
-		Modularity:  res.Modularity,
-		Quality:     res.Quality,
-		Phases:      res.Stats.PhaseSeconds(),
 		Check:       check,
-	})
-	observe.LogRun(s.logger, rec)
+	}
+	if res != nil {
+		for _, ps := range res.Stats.Passes {
+			rec.DeltaQ += ps.DeltaQ
+		}
+		rec.Passes = res.Passes
+		rec.Iterations = res.Stats.TotalIterations()
+		rec.Moves = res.Stats.TotalMoves()
+		rec.Communities = res.NumCommunities
+		rec.Modularity = res.Modularity
+		rec.Quality = res.Quality
+		rec.Phases = res.Stats.PhaseSeconds()
+	}
+	observe.LogRun(s.logger, s.tel.RecordRun(rec))
 }
 
 func (s *Server) logSwap(snap *Snapshot, elapsed time.Duration) {

@@ -7,14 +7,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gveleiden/internal/core"
 	"gveleiden/internal/gen"
 	"gveleiden/internal/graph"
+	"gveleiden/internal/observe"
+	"gveleiden/internal/parallel"
 )
 
 func testConfig() Config {
@@ -173,7 +177,7 @@ func TestServeQueries(t *testing.T) {
 		}
 		for d, c := range hr.Levels {
 			if flat, _ := snap.Hierarchy.Flatten(d + 1); flat[v] != c {
-				t.Fatalf("vertex %d at depth %d: cached community %d, Flatten says %d", v, d+1, c, flat[v])
+				t.Fatalf("vertex %d at depth %d: served community %d, Flatten says %d", v, d+1, c, flat[v])
 			}
 		}
 	}
@@ -648,5 +652,126 @@ func TestServeZeroWeightEdge(t *testing.T) {
 	}
 	if got := s.Snapshot().Graph.NumUndirectedEdges(); got != st.Edges {
 		t.Fatalf("/stats edges %d, published graph has %d", st.Edges, got)
+	}
+}
+
+// panickyObserver panics at every pass boundary while armed.
+type panickyObserver struct{ armed atomic.Bool }
+
+func (o *panickyObserver) OnIteration(observe.IterEvent) {}
+
+func (o *panickyObserver) OnPass(observe.PassEvent) {
+	if o.armed.Load() {
+		panic("injected observer panic")
+	}
+}
+
+// TestServeRecomputePanicIsRejection injects a panic into the recompute
+// run through the caller's observer: the worker must survive it as a
+// rejection — version 1 keeps serving, the delta is re-queued, the
+// panic shows in /stats and the flight record — and must publish the
+// delta once the panics stop.
+func TestServeRecomputePanicIsRejection(t *testing.T) {
+	obs := &panickyObserver{}
+	cfg := testConfig()
+	cfg.Options.Observer = obs
+	s, c := startServer(t, cfg)
+	obs.armed.Store(true)
+
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitRejections(t, s, 1)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 1 || st.PendingInsertions != 1 ||
+		!strings.HasPrefix(st.LastRejection, "panic: injected observer panic") {
+		t.Fatalf("after the panic: %+v", st)
+	}
+	recs := s.Telemetry().Flight().Records()
+	if last := recs[len(recs)-1]; last.Check != "panic: injected observer panic" {
+		t.Fatalf("flight record check %q", last.Check)
+	}
+	if err := c.Healthz(); err != nil {
+		t.Fatal(err)
+	}
+
+	obs.armed.Store(false)
+	s.Kick()
+	st = waitVersion(t, c, 2)
+	if st.PendingInsertions != 0 || !st.Warm {
+		t.Fatalf("after recovery: %+v", st)
+	}
+}
+
+// regionPanicObserver, while armed, runs a region on the run's pool at
+// every pass boundary whose share on the submitting goroutine (tid 0)
+// panics while the other worker is still busy in its own.
+type regionPanicObserver struct {
+	pool  *parallel.Pool
+	armed atomic.Bool
+}
+
+func (o *regionPanicObserver) OnIteration(observe.IterEvent) {}
+
+func (o *regionPanicObserver) OnPass(observe.PassEvent) {
+	if !o.armed.Load() {
+		return
+	}
+	started := make(chan struct{})
+	var once sync.Once
+	o.pool.For(64, 2, 1, func(lo, hi, tid int) {
+		if tid == 0 {
+			<-started
+			panic("injected region panic")
+		}
+		once.Do(func() { close(started) })
+		time.Sleep(time.Millisecond)
+	})
+}
+
+// TestServeRegionPanicIsRejection panics inside a pooled parallel
+// region of the recompute run, on the recompute goroutine. The panic
+// must be a rejection that leaves the pool drained: the next run, in
+// deterministic mode, must publish exactly the membership a run on
+// another pool computes from the same graph, warm start and delta.
+func TestServeRegionPanicIsRejection(t *testing.T) {
+	pool := parallel.NewPool(2)
+	t.Cleanup(pool.Close) // after the server's own cleanup
+	obs := &regionPanicObserver{pool: pool}
+	cfg := testConfig()
+	cfg.Options.Pool = pool
+	cfg.Options.Deterministic = true
+	cfg.Options.Observer = obs
+	s, c := startServer(t, cfg)
+	v1 := s.Snapshot()
+	obs.armed.Store(true)
+
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitRejections(t, s, 1)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 1 || st.PendingInsertions != 1 ||
+		!strings.HasPrefix(st.LastRejection, "panic: injected region panic") {
+		t.Fatalf("after the panic: %+v", st)
+	}
+
+	obs.armed.Store(false)
+	s.Kick()
+	waitVersion(t, c, 2)
+	v2 := s.Snapshot()
+	opt := cfg.Options
+	opt.Pool, opt.Observer = parallel.NewPool(2), nil
+	defer opt.Pool.Close()
+	want, _ := core.LeidenDynamicHierarchy(v2.Graph, v1.Result.Membership,
+		core.Delta{Insertions: []graph.Edge{{U: 0, V: 999, W: 1}}}, cfg.Mode, opt)
+	if !slices.Equal(v2.Result.Membership, want.Membership) {
+		t.Fatal("the run after the recovered panic published a different membership than a run on another pool")
 	}
 }

@@ -32,16 +32,13 @@ type Snapshot struct {
 	// /members index, built once at publication instead of scanning the
 	// membership per query.
 	members [][]uint32
-	// flat[d-1][v] is the community of vertex v at dendrogram depth d
-	// (Hierarchy.Flatten(d)), precomputed for /hierarchy drill-down.
-	flat [][]uint32
 }
 
-// newSnapshot derives the query indexes; edges is g's undirected edge
+// newSnapshot derives the query index; edges is g's undirected edge
 // count. Building the members index is a counting sort over the
 // membership: sizes, offsets, then one fill pass in vertex order, which
-// leaves every list sorted. The per-depth flatten cache composes one
-// more level per depth, O(N·depth) in all.
+// leaves every list sorted. /hierarchy needs no index: it composes the
+// dendrogram levels for its one vertex, O(depth) per query.
 func newSnapshot(g *graph.CSR, edges int64, res *core.Result, h *core.Hierarchy, version uint64, warm bool) *Snapshot {
 	s := &Snapshot{
 		Graph:     g,
@@ -62,18 +59,6 @@ func newSnapshot(g *graph.CSR, edges int64, res *core.Result, h *core.Hierarchy,
 	}
 	for v, c := range res.Membership {
 		s.members[c] = append(s.members[c], uint32(v))
-	}
-	if h != nil && h.Depth() > 0 {
-		s.flat = make([][]uint32, h.Depth())
-		s.flat[0] = h.Levels[0].Membership // read-only, like the rest of h
-		for d := 1; d < h.Depth(); d++ {
-			lvl, prev := h.Levels[d].Membership, s.flat[d-1]
-			flat := make([]uint32, len(prev))
-			for v, c := range prev {
-				flat[v] = lvl[c]
-			}
-			s.flat[d] = flat
-		}
 	}
 	return s
 }
@@ -98,13 +83,23 @@ func (s *Snapshot) Members(c uint32) ([]uint32, bool) {
 
 // Depth returns the dendrogram depth (0 when no hierarchy was
 // recorded).
-func (s *Snapshot) Depth() int { return len(s.flat) }
-
-// CommunityAtDepth returns the community of vertex v after composing
-// the first d dendrogram levels (d in [1, Depth]).
-func (s *Snapshot) CommunityAtDepth(v uint32, d int) (uint32, bool) {
-	if d < 1 || d > len(s.flat) || int(v) >= len(s.flat[d-1]) {
-		return 0, false
+func (s *Snapshot) Depth() int {
+	if s.Hierarchy == nil {
+		return 0
 	}
-	return s.flat[d-1][v], true
+	return s.Hierarchy.Depth()
+}
+
+// Ancestry returns the community of vertex v at every dendrogram depth:
+// element d-1 is v's community after composing the first d levels, as
+// in Hierarchy.Flatten(d). It walks the levels once, O(Depth). v must
+// be a vertex of the snapshot's graph.
+func (s *Snapshot) Ancestry(v uint32) []uint32 {
+	out := make([]uint32, s.Depth())
+	c := v
+	for d := range out {
+		c = s.Hierarchy.Levels[d].Membership[c]
+		out[d] = c
+	}
+	return out
 }
