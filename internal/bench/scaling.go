@@ -48,7 +48,8 @@ type ScalingCurve struct {
 
 // AblationRecord is one configuration of the move-phase kernel ablation
 // at a fixed thread count: the full optimized path against runs with
-// the tighter pruning and/or the flat-array scan disabled. RelTime is
+// the tighter pruning and/or the flat-array accumulation disabled (the
+// latter in all three kernels; see core.Options.DisableFlatScan). RelTime is
 // this configuration's best time relative to the full path (>1 means
 // the disabled optimization was paying for itself).
 type AblationRecord struct {

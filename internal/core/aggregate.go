@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"gveleiden/internal/graph"
+	"gveleiden/internal/hashtable"
 )
 
 // aggregate is the aggregation phase of GVE-Leiden (Algorithm 4): it
@@ -20,7 +21,10 @@ import (
 //     are heavily skewed), accumulate cross-community weights in the
 //     per-thread collision-free hashtable (self-loops included, so a
 //     community's internal weight folds into its super-vertex loop) and
-//     write the arcs into the community's reserved slot.
+//     write the arcs into the community's reserved slot. A community
+//     whose total degree is at most hashtable.FlatCap accumulates in the
+//     thread's flat array instead (aggregateFlat), which writes the same
+//     arcs in the same order.
 //
 // The returned graph's storage lives in the next ping-pong arena; no
 // allocation happens beyond slicing preallocated arrays.
@@ -73,17 +77,27 @@ func (ws *workspace) aggregate(g *graph.CSR, nComms int) (*graph.CSR, float64) {
 	if aggGrain < 1 {
 		aggGrain = 1
 	}
+	flat := !ws.opt.DisableFlatScan
 	ws.zeroAgg()
 	pool.For(nComms, threads, aggGrain, func(lo, hi, tid int) {
 		h := ws.tables[tid]
+		f := &ws.flats[tid]
 		var arcs int64
 		for c := lo; c < hi; c++ {
-			h.Clear()
 			//gvevet:exclusive read-only phase: commOff's atomic counting finished behind earlier region barriers
-			for _, i := range commVtx[commOff[c]:commOff[c+1]] {
+			members := commVtx[commOff[c]:commOff[c+1]]
+			//gvevet:exclusive read-only phase: superOff's atomic degree adds finished behind earlier region barriers
+			base, end := superOff[c], superOff[c+1]
+			if flat && end-base <= hashtable.FlatCap {
+				k := aggregateFlat(f, g, comm, members, edges[base:], weights[base:])
+				counts[c] = uint32(k)
+				arcs += int64(k)
+				continue
+			}
+			h.Clear()
+			for _, i := range members {
 				scanCommunities(h, g, comm, i, true)
 			}
-			base := superOff[c] //gvevet:exclusive read-only phase: superOff's atomic degree adds finished behind earlier region barriers
 			for idx, d := range h.Keys() {
 				edges[base+uint32(idx)] = d
 				weights[base+uint32(idx)] = float32(h.Get(d))
@@ -103,4 +117,29 @@ func (ws *workspace) aggregate(g *graph.CSR, nComms int) (*graph.CSR, float64) {
 		Edges:   edges,
 		Weights: weights,
 	}, occupancy
+}
+
+// aggregateFlat is the per-community step of aggregate for a community
+// whose total degree (self-loops included) is at most hashtable.FlatCap,
+// which bounds its distinct target communities: it accumulates the
+// members' arcs in the flat array and writes them to edges and weights
+// in first-touch order, each key's weight summed in arc order — the
+// arcs, order and sums the dense table produces. It returns the number
+// of arcs written.
+//
+//gvevet:contract noescape
+func aggregateFlat(f *hashtable.Flat, g *graph.CSR, comm, members, edges []uint32, weights []float32) int {
+	f.Reset()
+	for _, i := range members {
+		es, wts := g.Neighbors(i)
+		for k, e := range es {
+			f.Add(commLoad(comm, e), float64(wts[k]))
+		}
+	}
+	n := f.Len()
+	for idx := 0; idx < n; idx++ {
+		edges[idx] = f.Key(idx)
+		weights[idx] = float32(f.Val(idx))
+	}
+	return n
 }

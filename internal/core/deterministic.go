@@ -216,6 +216,7 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 		class := col.Class(cls)
 		ws.opt.Pool.For(len(class), threads, 64, func(lo, hi, tid int) {
 			h := ws.tables[tid]
+			f := &ws.flats[tid]
 			for idx := lo; idx < hi; idx++ {
 				u := class[idx]
 				c := comm[u] //gvevet:exclusive frozen comm: bounded-refine classes freeze memberships behind region barriers
@@ -223,9 +224,15 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 				if ws.sigma.Get(int(c)) != ki {
 					continue
 				}
-				h.Clear()
-				scanBounded(h, g, bounds, comm, u)
-				target, ok := ws.bestBounded(h, c, u, ki)
+				var target uint32
+				var ok bool
+				if !ws.opt.DisableFlatScan && g.Degree(u) <= hashtable.FlatCap {
+					target, ok = ws.bestBoundedFlat(g, f, bounds, comm, c, u, ki)
+				} else {
+					h.Clear()
+					scanBounded(h, g, bounds, comm, u)
+					target, ok = ws.bestBounded(h, c, u, ki)
+				}
 				if !ok || target == c {
 					continue
 				}

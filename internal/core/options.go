@@ -149,10 +149,14 @@ type Options struct {
 	// iteration of the local-moving phase rescans every vertex. Exists
 	// for the ablation study of the pruning optimization.
 	DisablePruning bool
-	// DisableFlatScan turns off the flat-array community-weight scan
-	// that low-degree vertices (degree ≤ hashtable.FlatCap) use instead
-	// of the per-thread hashtable during local moving. Exists for the
-	// ablation study of the flat-scan optimization.
+	// DisableFlatScan turns off every flat-array community-weight
+	// accumulation, sending it to the per-thread hashtable: the scans of
+	// low-degree vertices (degree ≤ hashtable.FlatCap) in local moving
+	// and greedy refinement, and aggregation's per-community sums for
+	// communities of total degree ≤ FlatCap. Decisions and aggregated
+	// graphs do not change. Exists for the ablation study of the
+	// flat-scan optimization and as the dense reference its tests
+	// compare against.
 	DisableFlatScan bool
 	// FinalRefine runs multilevel refinement (related work [7,20,25]):
 	// after the passes, extra local-moving sweeps over the original

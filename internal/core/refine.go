@@ -26,8 +26,10 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 	sz := ws.sizes
 	greedy := ws.opt.Refinement == RefineGreedy
 	ws.zeroMoved()
+	flat := greedy && !ws.opt.DisableFlatScan
 	ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
 		h := ws.tables[tid]
+		f := &ws.flats[tid]
 		rng := ws.rngs[tid]
 		var local int64
 		for i := lo; i < hi; i++ {
@@ -37,14 +39,18 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 			if ws.sigma.Get(int(c)) != ki {
 				continue // not isolated: anchors its sub-community
 			}
-			h.Clear()
-			scanBounded(h, g, bounds, comm, u)
 			var target uint32
 			var ok bool
-			if greedy {
-				target, ok = ws.bestBounded(h, c, u, ki)
+			if flat && g.Degree(u) <= hashtable.FlatCap {
+				target, ok = ws.bestBoundedFlat(g, f, bounds, comm, c, u, ki)
 			} else {
-				target, ok = ws.randomBounded(h, c, u, ki, rng)
+				h.Clear()
+				scanBounded(h, g, bounds, comm, u)
+				if greedy {
+					target, ok = ws.bestBounded(h, c, u, ki)
+				} else {
+					target, ok = ws.randomBounded(h, c, u, ki, rng)
+				}
 			}
 			if !ok || target == c {
 				continue
@@ -102,6 +108,46 @@ func (ws *workspace) bestBounded(h *hashtable.Accumulator, c, u uint32, ki float
 			continue
 		}
 		dq := ws.delta(h.Get(cand), kid, ki, ws.sigma.Get(int(cand)), sd, si, sz.comm(cand), nd)
+		if dq > bestDQ || (dq == bestDQ && dq > 0 && cand < bestC) {
+			bestDQ = dq
+			bestC = cand
+		}
+	}
+	return bestC, bestDQ > 0
+}
+
+// bestBoundedFlat is scanBounded plus bestBounded for a vertex of
+// degree ≤ hashtable.FlatCap, accumulating in the flat array instead of
+// the dense table, as moveVertexFlat does for local moving. The degree
+// counts the self-loop and the arcs leaving u's bound, so at most
+// FlatCap distinct sub-communities reach f. Each key's weight is summed
+// in arc order and the tie-break does not depend on key order, so the
+// pick is the one bestBounded makes.
+//
+//gvevet:contract noescape
+func (ws *workspace) bestBoundedFlat(g *graph.CSR, f *hashtable.Flat, bounds, comm []uint32, c, u uint32, ki float64) (uint32, bool) {
+	f.Reset()
+	es, wts := g.Neighbors(u)
+	bu := bounds[u]
+	for k, e := range es {
+		if e == u || bounds[e] != bu {
+			continue
+		}
+		f.Add(commLoad(comm, e), float64(wts[k]))
+	}
+	sz := ws.sizes
+	kid := f.Get(c)
+	sd := ws.sigma.Get(int(c))
+	si := sz.vertex(u)
+	nd := sz.comm(c)
+	bestC := c
+	bestDQ := 0.0
+	for i := 0; i < f.Len(); i++ {
+		cand := f.Key(i)
+		if cand == c {
+			continue
+		}
+		dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(cand)), sd, si, sz.comm(cand), nd)
 		if dq > bestDQ || (dq == bestDQ && dq > 0 && cand < bestC) {
 			bestDQ = dq
 			bestC = cand

@@ -88,49 +88,66 @@ func TestSizeStateChangesNoModularityDecision(t *testing.T) {
 				if det {
 					name += "/deterministic-t2"
 				}
-				if !slices.Equal(want.Membership, got.Membership) {
-					t.Errorf("%s: memberships differ", name)
-					continue
-				}
-				if want.NumCommunities != got.NumCommunities || want.Passes != got.Passes ||
-					math.Float64bits(want.Modularity) != math.Float64bits(got.Modularity) ||
-					math.Float64bits(want.Quality) != math.Float64bits(got.Quality) {
-					t.Errorf("%s: result differs: %d comms, %d passes, Q %v, quality %v; sized %d, %d, %v, %v", name,
-						want.NumCommunities, want.Passes, want.Modularity, want.Quality,
-						got.NumCommunities, got.Passes, got.Modularity, got.Quality)
-				}
-				for p := range want.Stats.Passes {
-					w, s := passCounters(want.Stats.Passes[p]), passCounters(got.Stats.Passes[p])
-					if det {
-						// A color class's movers commit in per-thread bucket
-						// order, which scheduling decides, so the realized ΔQ
-						// of a t=2 run rounds differently from run to run.
-						if math.Abs(w.DeltaQ-s.DeltaQ) > 1e-12 {
-							t.Errorf("%s: pass %d ΔQ %v, sized %v", name, p, w.DeltaQ, s.DeltaQ)
-						}
-						w.DeltaQ, s.DeltaQ = 0, 0
-					}
-					if !equalPassCounters(w, s) {
-						t.Errorf("%s: pass %d counters differ:\n  %+v\n  %+v", name, p, w, s)
-					}
-				}
-				if (wantH == nil) != (gotH == nil) {
-					t.Fatalf("%s: hierarchy recorded on one side only", name)
-				}
-				if wantH != nil {
-					if wantH.Depth() != gotH.Depth() {
-						t.Errorf("%s: depth %d, sized %d", name, wantH.Depth(), gotH.Depth())
-						continue
-					}
-					for l := range wantH.Levels {
-						wl, sl := wantH.Levels[l], gotH.Levels[l]
-						if wl.Communities != sl.Communities || wl.Vertices != sl.Vertices ||
-							!slices.Equal(wl.Membership, sl.Membership) {
-							t.Errorf("%s: level %d differs", name, l)
-						}
-					}
-				}
+				compareRuns(t, name, det, true, want, got, wantH, gotH)
 			}
+		}
+	}
+}
+
+// compareRuns reports every difference between two runs that must
+// decide identically: memberships, community and pass counts,
+// Modularity and Quality bit for bit, every per-pass counter (FlatScans
+// only when flatScans is set) and the hierarchy levels. A deterministic
+// t=2 run's per-pass ΔQ is compared to 1e-12 instead: a color class
+// commits its movers in per-thread bucket order, which scheduling
+// decides, so its realized ΔQ rounds differently from run to run.
+func compareRuns(t *testing.T, name string, det, flatScans bool, want, got *Result, wantH, gotH *Hierarchy) {
+	t.Helper()
+	if !slices.Equal(want.Membership, got.Membership) {
+		t.Errorf("%s: memberships differ", name)
+		return
+	}
+	if want.NumCommunities != got.NumCommunities || want.Passes != got.Passes ||
+		math.Float64bits(want.Modularity) != math.Float64bits(got.Modularity) ||
+		math.Float64bits(want.Quality) != math.Float64bits(got.Quality) {
+		t.Errorf("%s: result differs: %d comms, %d passes, Q %v, quality %v; got %d, %d, %v, %v", name,
+			want.NumCommunities, want.Passes, want.Modularity, want.Quality,
+			got.NumCommunities, got.Passes, got.Modularity, got.Quality)
+	}
+	if len(want.Stats.Passes) != len(got.Stats.Passes) {
+		t.Errorf("%s: %d pass stats, got %d", name, len(want.Stats.Passes), len(got.Stats.Passes))
+		return
+	}
+	for p := range want.Stats.Passes {
+		w, g := passCounters(want.Stats.Passes[p]), passCounters(got.Stats.Passes[p])
+		if !flatScans {
+			w.FlatScans, g.FlatScans = 0, 0
+		}
+		if det {
+			if math.Abs(w.DeltaQ-g.DeltaQ) > 1e-12 {
+				t.Errorf("%s: pass %d ΔQ %v, got %v", name, p, w.DeltaQ, g.DeltaQ)
+			}
+			w.DeltaQ, g.DeltaQ = 0, 0
+		}
+		if !equalPassCounters(w, g) {
+			t.Errorf("%s: pass %d counters differ:\n  %+v\n  %+v", name, p, w, g)
+		}
+	}
+	if (wantH == nil) != (gotH == nil) {
+		t.Fatalf("%s: hierarchy recorded on one side only", name)
+	}
+	if wantH == nil {
+		return
+	}
+	if wantH.Depth() != gotH.Depth() {
+		t.Errorf("%s: depth %d, got %d", name, wantH.Depth(), gotH.Depth())
+		return
+	}
+	for l := range wantH.Levels {
+		wl, gl := wantH.Levels[l], gotH.Levels[l]
+		if wl.Communities != gl.Communities || wl.Vertices != gl.Vertices ||
+			!slices.Equal(wl.Membership, gl.Membership) {
+			t.Errorf("%s: level %d differs", name, l)
 		}
 	}
 }

@@ -39,6 +39,14 @@ type RunRecord struct {
 	Modularity  float64      `json:"modularity"`
 	Quality     float64      `json:"quality"`
 	Phases      PhaseSeconds `json:"phase_seconds"`
+	// The stage times of a server swap, in seconds: building the graph
+	// the run consumes, the run, the oracle gate and the query-index
+	// build. A stage the swap did not get through is zero and omitted;
+	// runs outside the server omit all four.
+	SnapshotSeconds float64 `json:"snapshot_seconds,omitempty"`
+	RunSeconds      float64 `json:"run_seconds,omitempty"`
+	GateSeconds     float64 `json:"gate_seconds,omitempty"`
+	IndexSeconds    float64 `json:"index_seconds,omitempty"`
 	// Check records the oracle self-check outcome: "" when no check
 	// ran, "passed", or "failed: <reason>".
 	Check string `json:"check,omitempty"`

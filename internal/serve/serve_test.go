@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -774,4 +775,152 @@ func TestServeRegionPanicIsRejection(t *testing.T) {
 	if !slices.Equal(v2.Result.Membership, want.Membership) {
 		t.Fatal("the run after the recovered panic published a different membership than a run on another pool")
 	}
+}
+
+// metricLine returns the value text of the /metrics sample whose name
+// and labels are exactly series, or "" when it is absent.
+func metricLine(t *testing.T, c *Client, series string) string {
+	t.Helper()
+	resp, err := http.Get(c.Base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// TestServeBoundsVertexGrowth: one batch may grow the graph by at most
+// MaxBatch vertices. An insertion at the current vertex count n plus
+// MaxBatch answers 400 and leaves the stream graph as it was; one at
+// n+MaxBatch−1 publishes. The refused id comes first, so a server
+// without the bound fails here before any request names a huge id.
+func TestServeBoundsVertexGrowth(t *testing.T) {
+	const maxBatch = 8
+	cfg := testConfig()
+	cfg.MaxBatch = maxBatch
+	g, _ := gen.RoadNetwork(400, 3)
+	_, c := startServerOn(t, g, cfg)
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint32(before.Vertices)
+	refuse := func(v uint32) {
+		t.Helper()
+		prev, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.ApplyDelta([]EdgeUpdate{{U: 0, V: v, W: 1}}, nil)
+		if err == nil || !strings.Contains(err.Error(), "status 400") {
+			t.Fatalf("insertion at vertex %d (%d vertices, MaxBatch %d): error %v, want status 400", v, prev.Vertices, maxBatch, err)
+		}
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Vertices != prev.Vertices || st.PendingInsertions != prev.PendingInsertions ||
+			st.PendingDeletions != prev.PendingDeletions || st.Version != prev.Version {
+			t.Fatalf("refused insertion at vertex %d changed the state: %+v -> %+v", v, prev, st)
+		}
+	}
+
+	refuse(n + maxBatch)
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: n + maxBatch - 1, W: 1}}, nil); err != nil {
+		t.Fatalf("insertion at vertex n+MaxBatch-1: %v", err)
+	}
+	st := waitVersion(t, c, before.Version+1)
+	if st.Vertices != int(n)+maxBatch {
+		t.Fatalf("published %d vertices, want %d", st.Vertices, int(n)+maxBatch)
+	}
+	refuse(4_000_000_000)
+	refuse(1<<32 - 1)
+	if got := metricLine(t, c, `gveserve_delta_batches_total{status="rejected"}`); got != "3" {
+		t.Fatalf("rejected delta batches = %q, want 3", got)
+	}
+
+	// The refusals left the stream graph intact: a valid batch still
+	// publishes.
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 1, V: n, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitVersion(t, c, before.Version+2); st.Vertices != int(n)+maxBatch {
+		t.Fatalf("published %d vertices, want %d", st.Vertices, int(n)+maxBatch)
+	}
+}
+
+// newestFlightRecord returns the newest /debug/flight record as its
+// JSON object, once the flight recorder holds want records.
+func newestFlightRecord(t *testing.T, s *Server, c *Client, want uint64) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Telemetry().Flight().Total() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("flight recorder holds %d records, want %d", s.Telemetry().Flight().Total(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Get(c.Base + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dump struct {
+		Records []map[string]any `json:"records"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Records) == 0 {
+		t.Fatal("/debug/flight holds no record")
+	}
+	return dump.Records[len(dump.Records)-1]
+}
+
+// TestServeFlightRecordsStageTimes: a swap's flight record carries the
+// times of the stages it got through — all four for a published swap,
+// the snapshot and the run for a candidate the gate refused.
+func TestServeFlightRecordsStageTimes(t *testing.T) {
+	stages := []string{"snapshot_seconds", "run_seconds", "gate_seconds", "index_seconds"}
+	t.Run("published", func(t *testing.T) {
+		s, c := startServer(t, testConfig())
+		driveSwaps(t, c, uint32(s.Snapshot().Graph.NumVertices()), 1)
+		rec := newestFlightRecord(t, s, c, 2)
+		for _, k := range stages {
+			v, ok := rec[k].(float64)
+			if !ok || v < 0 {
+				t.Fatalf("%s = %v in %v", k, rec[k], rec)
+			}
+		}
+		if rec["run_seconds"].(float64) > rec["wall_seconds"].(float64) {
+			t.Fatalf("run_seconds %v exceeds wall_seconds %v", rec["run_seconds"], rec["wall_seconds"])
+		}
+	})
+	t.Run("rejected", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.MaxQualityDrop = -10 // candidate must beat prev by 10 — impossible
+		s, c := startServer(t, cfg)
+		if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		waitRejections(t, s, 1)
+		rec := newestFlightRecord(t, s, c, 2)
+		if check, _ := rec["check"].(string); !strings.HasPrefix(check, "failed: ") {
+			t.Fatalf("newest record is not the rejection: %v", rec)
+		}
+		for _, k := range stages[:2] {
+			if v, ok := rec[k].(float64); !ok || v < 0 {
+				t.Fatalf("%s = %v in %v", k, rec[k], rec)
+			}
+		}
+		if _, ok := rec["index_seconds"]; ok {
+			t.Fatalf("a refused candidate records an index time: %v", rec)
+		}
+	})
 }

@@ -31,6 +31,9 @@ func FromCSR(g *graph.CSR) *Graph {
 	return &Graph{base: base, overlay: map[uint64]graph.DeltaState{}, n: base.NumVertices(), edges: edges}
 }
 
+// NumVertices returns the current vertex count.
+func (s *Graph) NumVertices() int { return s.n }
+
 // NumEdges returns the current undirected edge count.
 func (s *Graph) NumEdges() int64 { return s.edges }
 
