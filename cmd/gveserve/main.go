@@ -9,7 +9,7 @@
 //
 //	gveserve -gen social -n 100000 -addr :8080
 //	gveserve -i graph.mtx -addr 127.0.0.1:8080 -mode frontier
-//	gveserve -gen web -n 50000 -rebuild-interval 5m -log-format json
+//	gveserve -gen web -n 50000 -log-format json
 //
 // Endpoints:
 //
@@ -19,7 +19,7 @@
 //	GET  /hierarchy?v=ID     community at every dendrogram depth
 //	GET  /stats              snapshot shape, quality, serving counters
 //	POST /delta              ingest {"insertions":[{"u","v","w"}],"deletions":[...]}
-//	POST /recompute          force a snapshot rebuild
+//	POST /recompute          warm recompute over whatever delta is pending (possibly none)
 //	GET  /metrics /metrics.json /healthz /debug/flight /debug/vars /debug/pprof/...
 //
 // SIGINT/SIGTERM drain in-flight requests, let any running recompute
@@ -52,20 +52,19 @@ func main() {
 }
 
 type config struct {
-	input, genName  string
-	n               int
-	seed            uint64
-	addr            string
-	threads         int
-	mode            string
-	maxBatch        int
-	maxBody         int64
-	qualityDrop     float64
-	rebuildInterval time.Duration
-	logFormat       string
-	flightSize      int
-	sampleInterval  time.Duration
-	resolution      float64
+	input, genName string
+	n              int
+	seed           uint64
+	addr           string
+	threads        int
+	mode           string
+	maxBatch       int
+	maxBody        int64
+	qualityDrop    float64
+	logFormat      string
+	flightSize     int
+	sampleInterval time.Duration
+	resolution     float64
 }
 
 func parseFlags(args []string, stderr io.Writer) (*config, error) {
@@ -82,7 +81,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.maxBatch, "max-batch", 100000, "max insertions+deletions per delta request")
 	fs.Int64Var(&c.maxBody, "max-body", 8<<20, "max request body bytes")
 	fs.Float64Var(&c.qualityDrop, "quality-drop", 0.25, "oracle gate: max modularity drop vs the published snapshot")
-	fs.DurationVar(&c.rebuildInterval, "rebuild-interval", 0, "periodic snapshot rebuild even without ingests (0 = off)")
 	fs.StringVar(&c.logFormat, "log-format", "", "structured swap/ingest logging to stderr: json|text (empty = off)")
 	fs.IntVar(&c.flightSize, "flight", observe.DefaultFlightSize, "flight-recorder capacity: last N recomputes kept for /debug/flight")
 	fs.DurationVar(&c.sampleInterval, "sample-interval", observe.DefaultSampleInterval, "runtime-metrics poll interval")
@@ -125,7 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.MaxBatch = c.maxBatch
 	cfg.MaxBody = c.maxBody
 	cfg.MaxQualityDrop = c.qualityDrop
-	cfg.RebuildInterval = c.rebuildInterval
 	cfg.FlightSize = c.flightSize
 	switch c.mode {
 	case "naive":

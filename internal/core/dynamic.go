@@ -79,27 +79,8 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode
 	}
 	n := g.NumVertices()
 
-	// Previous communities become warm-start labels. Labels must be
-	// vertex ids of the new graph, so each previous community is named
-	// by its first member; new vertices name themselves (their own ids
-	// cannot collide with representatives, which are old-vertex ids).
-	warm := make([]uint32, n)
-	rep := make(map[uint32]uint32, 256)
-	bound := len(prev)
-	if bound > n {
-		bound = n // the delta shrank the vertex set (not typical)
-	}
-	for i := 0; i < bound; i++ {
-		r, ok := rep[prev[i]]
-		if !ok {
-			r = uint32(i)
-			rep[prev[i]] = r
-		}
-		warm[i] = r
-	}
-	for i := bound; i < n; i++ {
-		warm[i] = uint32(i)
-	}
+	bound := min(len(prev), n) // the delta may shrink the vertex set (not typical)
+	warm := warmLabels(prev[:bound], n)
 	ws.warm = warm
 
 	if mode == DynamicFrontier {
@@ -107,6 +88,43 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode
 	}
 
 	return ws.leiden(g), ws.hierarchy
+}
+
+// warmLabels turns the previous membership into warm-start labels for
+// n ≥ len(prev) vertices. Labels must be vertex ids of the new graph,
+// so each previous community is named by its first member; new
+// vertices name themselves (their own ids cannot collide with
+// representatives, which are old-vertex ids). prev is normally a dense
+// membership, so a slice indexed by label holds the representatives; a
+// label at or past len(prev) falls back to a map.
+func warmLabels(prev []uint32, n int) []uint32 {
+	const none = ^uint32(0)
+	warm := make([]uint32, n)
+	first := make([]uint32, len(prev))
+	for c := range first {
+		first[c] = none
+	}
+	var far map[uint32]uint32
+	for i, c := range prev {
+		if int(c) >= len(prev) {
+			if far == nil {
+				far = map[uint32]uint32{}
+			}
+			if _, ok := far[c]; !ok {
+				far[c] = uint32(i)
+			}
+			warm[i] = far[c]
+			continue
+		}
+		if first[c] == none {
+			first[c] = uint32(i)
+		}
+		warm[i] = first[c]
+	}
+	for i := len(prev); i < n; i++ {
+		warm[i] = uint32(i)
+	}
+	return warm
 }
 
 // frontierOf applies the dynamic-frontier marking rule: an inserted

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"gveleiden/internal/gen"
@@ -172,5 +174,53 @@ func TestLeidenDynamicModeStrings(t *testing.T) {
 		DynamicFrontier.String() != "dynamic-frontier" ||
 		DynamicMode(9).String() != "unknown" {
 		t.Fatal("dynamic mode strings wrong")
+	}
+}
+
+// mapWarmLabels is the warm-label map runLeidenDynamic used before
+// warmLabels, kept as the reference.
+func mapWarmLabels(prev []uint32, n int) []uint32 {
+	warm := make([]uint32, n)
+	rep := make(map[uint32]uint32, 256)
+	bound := min(len(prev), n)
+	for i := 0; i < bound; i++ {
+		r, ok := rep[prev[i]]
+		if !ok {
+			r = uint32(i)
+			rep[prev[i]] = r
+		}
+		warm[i] = r
+	}
+	for i := bound; i < n; i++ {
+		warm[i] = uint32(i)
+	}
+	return warm
+}
+
+// TestWarmLabelsMatchMapReference: on dense memberships, memberships
+// with labels at and past len(prev) and new vertices beyond prev, the
+// warm labels name the same representatives as the map did, so warm
+// runs make the same decisions.
+func TestWarmLabelsMatchMapReference(t *testing.T) {
+	for seed := uint64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 13))
+		m := rng.IntN(300)
+		k := 1 + rng.IntN(max(m, 1))
+		prev := make([]uint32, m)
+		for i := range prev {
+			prev[i] = rng.Uint32N(uint32(k))
+			switch seed % 3 {
+			case 1: // some labels past len(prev)
+				if rng.IntN(4) == 0 {
+					prev[i] += uint32(m)
+				}
+			case 2: // every label past len(prev)
+				prev[i] = uint32(m) + 1000*prev[i]
+			}
+		}
+		n := m + rng.IntN(20)
+		if got, want := warmLabels(prev, n), mapWarmLabels(prev, n); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: warm labels %v, want %v", seed, got, want)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"gveleiden/internal/parallel"
 )
 
 // Delta application. The dynamic pipeline applies batches two ways —
@@ -233,62 +235,130 @@ type arc struct {
 	st  DeltaState
 }
 
-// MergeDelta returns the canonical CSR over n vertices (n at least
+// MergeDelta is MergeDeltaOn on the default pool with the default
+// thread count.
+func MergeDelta(base *CSR, n int, states map[uint64]DeltaState) *CSR {
+	return MergeDeltaOn(nil, base, n, states, 0)
+}
+
+// MergeDeltaOn returns the canonical CSR over n vertices (n at least
 // base's vertex count) that results from setting every pair in states
 // to its state on the canonical base: each vertex's base list merged
 // with its sorted state arcs, a state arc replacing the base arc with
-// the same target. One linear pass after sorting the arcs, so
-// O(N + M + P log P) for P pairs; base is only read, and n must cover
-// every endpoint in states.
-func MergeDelta(base *CSR, n int, states map[uint64]DeltaState) *CSR {
+// the same target. base is only read, and n must cover every endpoint
+// in states. It runs on pool p (nil = the default pool) with up to
+// threads participants (≤ 0: the default count), in two passes over
+// the same contiguous vertex blocks: the first counts each block's
+// output arcs, a scan over the block counts places the blocks, and the
+// second writes each block's rows from its place. Every row is merged
+// exactly as one sequential pass would, so the CSR is the same at
+// every thread count. O(N + M + P log P) for P pairs.
+func MergeDeltaOn(p *parallel.Pool, base *CSR, n int, states map[uint64]DeltaState, threads int) *CSR {
+	if p == nil {
+		p = parallel.Default()
+	}
+	if threads <= 0 {
+		threads = parallel.DefaultThreads()
+	}
 	arcs := make([]arc, 0, 2*len(states))
-	grow := 0
-	//gvevet:ignore nodeterm the arcs are sorted by their distinct keys below, and grow is an order-free count
+	//gvevet:ignore nodeterm the arcs are sorted by their distinct keys below
 	for k, st := range states {
 		u, v := SplitPairKey(k)
 		arcs = append(arcs, arc{uint64(u)<<32 | uint64(v), st})
 		if u != v {
 			arcs = append(arcs, arc{uint64(v)<<32 | uint64(u), st})
 		}
-		if st.Present {
-			grow += 2
-		}
 	}
 	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Compare(a.key, b.key) })
+	// firstArc returns the index of the first state arc out of a vertex
+	// ≥ v.
+	firstArc := func(v int) int {
+		a, _ := slices.BinarySearchFunc(arcs, uint64(v)<<32, func(x arc, key uint64) int { return cmp.Compare(x.key, key) })
+		return a
+	}
+	bn := base.NumVertices()
 
-	capacity := len(base.Edges) + grow
+	// Pass 1: a block's output arcs are its base arcs, plus one for each
+	// state arc that adds a pair, minus one for each that removes one.
+	place := make([]parallel.Padded[uint32], max(min(threads, n), 1))
+	p.Blocks(n, threads, func(b, lo, hi int) {
+		count := base.Offsets[min(hi, bn)] - base.Offsets[min(lo, bn)]
+		for a := firstArc(lo); a < len(arcs) && int(arcs[a].key>>32) < hi; a++ {
+			u, v := SplitPairKey(arcs[a].key)
+			_, had := base.FindArc(u, v)
+			switch present := arcs[a].st.Present; {
+			case present && !had:
+				count++
+			case !present && had:
+				count--
+			}
+		}
+		place[b].V = count
+	})
+	var total uint32
+	for b := range place {
+		count := place[b].V
+		place[b].V = total
+		total += count
+	}
+
+	// Pass 2: each block writes its rows from its place. A run of
+	// vertices without state arcs copies its base rows in one piece.
 	out := &CSR{
 		Offsets: make([]uint32, n+1),
-		Edges:   make([]uint32, 0, capacity),
-		Weights: make([]float32, 0, capacity),
+		Edges:   make([]uint32, total),
+		Weights: make([]float32, total),
 	}
-	a := 0
-	for i := 0; i < n; i++ {
-		var es []uint32
-		var ws []float32
-		if i < base.NumVertices() {
-			es, ws = base.Neighbors(uint32(i))
+	p.Blocks(n, threads, func(b, lo, hi int) {
+		at := place[b].V
+		a := firstArc(lo)
+		for i := lo; i < hi; {
+			next := hi
+			if a < len(arcs) {
+				next = min(next, int(arcs[a].key>>32))
+			}
+			if i < next {
+				// Vertices i..next-1 keep their base rows (none past bn).
+				from, to := base.Offsets[min(i, bn)], base.Offsets[min(next, bn)]
+				copy(out.Edges[at:], base.Edges[from:to])
+				copy(out.Weights[at:], base.Weights[from:to])
+				for v := i; v < next; v++ {
+					out.Offsets[v+1] = at + base.Offsets[min(v+1, bn)] - from
+				}
+				at += to - from
+				i = next
+				continue
+			}
+			var es []uint32
+			var ws []float32
+			if i < bn {
+				es, ws = base.Neighbors(uint32(i))
+			}
+			k := 0
+			emit := func(e uint32, w float32) {
+				out.Edges[at], out.Weights[at] = e, w
+				at++
+			}
+			for ; a < len(arcs) && int(arcs[a].key>>32) == i; a++ {
+				dst, st := uint32(arcs[a].key), arcs[a].st
+				for k < len(es) && es[k] < dst {
+					emit(es[k], ws[k])
+					k++
+				}
+				if k < len(es) && es[k] == dst {
+					k++
+				}
+				if st.Present {
+					emit(dst, st.W)
+				}
+			}
+			for ; k < len(es); k++ {
+				emit(es[k], ws[k])
+			}
+			out.Offsets[i+1] = at
+			i++
 		}
-		b := 0
-		for ; a < len(arcs) && int(arcs[a].key>>32) == i; a++ {
-			dst, st := uint32(arcs[a].key), arcs[a].st
-			for b < len(es) && es[b] < dst {
-				out.Edges = append(out.Edges, es[b])
-				out.Weights = append(out.Weights, ws[b])
-				b++
-			}
-			if b < len(es) && es[b] == dst {
-				b++
-			}
-			if st.Present {
-				out.Edges = append(out.Edges, dst)
-				out.Weights = append(out.Weights, st.W)
-			}
-		}
-		out.Edges = append(out.Edges, es[b:]...)
-		out.Weights = append(out.Weights, ws[b:]...)
-		out.Offsets[i+1] = uint32(len(out.Edges))
-	}
+	})
 	return out
 }
 

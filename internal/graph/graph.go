@@ -33,6 +33,9 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+
+	"gveleiden/internal/parallel"
 )
 
 // MaxVertices is the largest vertex count supported by the 32-bit id
@@ -170,8 +173,18 @@ func (g *CSR) Clone() *CSR {
 // Validate checks structural invariants: monotone offsets, in-range
 // targets, and — for compact graphs — symmetry of the arc multiset
 // (every arc (i,j), i≠j, has a matching (j,i)). It returns a descriptive
-// error on the first violation.
-func (g *CSR) Validate() error {
+// error on the first violation. It runs on the calling goroutine;
+// ValidateOn runs the same checks on a pool.
+func (g *CSR) Validate() error { return g.ValidateOn(nil, 1) }
+
+// checkGrain is the vertex chunk of the validation passes.
+const checkGrain = 512
+
+// ValidateOn is Validate running its passes on pool p (nil = the
+// default pool) with up to threads participants. Each pass reports the
+// smallest vertex that fails it, so the verdict and the error text are
+// Validate's at every thread count.
+func (g *CSR) ValidateOn(p *parallel.Pool, threads int) error {
 	n := g.NumVertices()
 	if n < 0 {
 		return errors.New("graph: offsets array must have length ≥ 1")
@@ -179,72 +192,103 @@ func (g *CSR) Validate() error {
 	if len(g.Edges) != len(g.Weights) {
 		return fmt.Errorf("graph: edges/weights length mismatch: %d vs %d", len(g.Edges), len(g.Weights))
 	}
-	for i := 0; i < n; i++ {
-		if g.Offsets[i] > g.Offsets[i+1] {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d", i)
-		}
-		if g.Counts != nil && g.Offsets[i]+g.Counts[i] > g.Offsets[i+1] {
-			return fmt.Errorf("graph: holey count overflows slot of vertex %d", i)
-		}
+	if p == nil {
+		p = parallel.Default()
 	}
-	if int(g.Offsets[n]) > len(g.Edges) {
-		return fmt.Errorf("graph: final offset %d exceeds edge storage %d", g.Offsets[n], len(g.Edges))
-	}
-	for i := 0; i < n; i++ {
-		es, _ := g.Neighbors(uint32(i))
-		for _, e := range es {
-			if int(e) >= n {
-				return fmt.Errorf("graph: arc (%d,%d) target out of range (n=%d)", i, e, n)
+	off, counts := g.Offsets, g.Counts
+	if i := parallel.FirstOn(p, n, threads, checkGrain, func(lo, hi, _ int) int {
+		for i := lo; i < hi; i++ {
+			if off[i] > off[i+1] || (counts != nil && off[i]+counts[i] > off[i+1]) {
+				return i
 			}
 		}
-	}
-	if g.Counts == nil {
-		if err := g.checkSymmetry(); err != nil {
-			return err
+		return hi
+	}); i < n {
+		if off[i] > off[i+1] {
+			return fmt.Errorf("graph: offsets not monotone at vertex %d", i)
 		}
+		return fmt.Errorf("graph: holey count overflows slot of vertex %d", i)
+	}
+	if int(off[n]) > len(g.Edges) {
+		return fmt.Errorf("graph: final offset %d exceeds edge storage %d", off[n], len(g.Edges))
+	}
+	outside := func(i int) int {
+		es, _ := g.Neighbors(uint32(i))
+		for k, e := range es {
+			if int(e) >= n {
+				return k
+			}
+		}
+		return -1
+	}
+	if i := parallel.FirstOn(p, n, threads, checkGrain, func(lo, hi, _ int) int {
+		for i := lo; i < hi; i++ {
+			if outside(i) >= 0 {
+				return i
+			}
+		}
+		return hi
+	}); i < n {
+		es, _ := g.Neighbors(uint32(i))
+		return fmt.Errorf("graph: arc (%d,%d) target out of range (n=%d)", i, es[outside(i)], n)
+	}
+	if counts == nil {
+		return g.SymmetryOn(p, threads)
 	}
 	return nil
 }
 
-// checkSymmetry verifies that the weighted arc multiset is symmetric:
-// for every pair a < b, the summed weight of the arcs (a,b) and of the
-// arcs (b,a) must agree to within 1e-3. Adjacency may be unsorted and
-// may repeat a target; self-loops are exempt. It runs in O(N+M): a
-// counting sort gathers every backward arc (b,a), b > a, under a in
-// ascending b; then, per vertex a, a dense float64 accumulator adds a's
+// SymmetryOn checks that the weighted arc multiset is symmetric: for
+// every pair a < b, the summed weight of the arcs (a,b) and of the arcs
+// (b,a) must agree to within 1e-3. Adjacency may be unsorted and may
+// repeat a target; self-loops are exempt. Arcs are read through
+// Neighbors, so a holey g is checked as its compacted copy would be;
+// offsets and targets must already be valid (Validate's other checks).
+//
+// It runs in O(N+M). A counting sort gathers every backward arc (b,a),
+// b > a, under a, on pool p (nil = the default pool) with up to threads
+// participants; one participant gathers all of a source's arcs in
+// order through an atomic cursor, so a's arcs from one b keep their
+// order. Then, per vertex a, one dense float64 accumulator adds a's
 // forward arcs and subtracts its gathered backward arcs, so each pair's
-// net is summed once, in arc order. The error names the smallest
-// violating pair.
-func (g *CSR) checkSymmetry() error {
+// net is summed once, in arc order, whatever the thread count. The
+// error names the smallest violating pair.
+func (g *CSR) SymmetryOn(p *parallel.Pool, threads int) error {
+	if p == nil {
+		p = parallel.Default()
+	}
 	n := g.NumVertices()
-	start := make([]uint32, n+1) // start[a]: a's first gathered backward arc
-	for i := 0; i < n; i++ {
-		es, _ := g.Neighbors(uint32(i))
-		for _, e := range es {
-			if e < uint32(i) {
-				start[e+1]++
+	backwardArcs := func(body func(i uint32, e uint32, w float32)) {
+		p.For(n, threads, checkGrain, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				es, ws := g.Neighbors(uint32(i))
+				for k, e := range es {
+					if e < uint32(i) {
+						body(uint32(i), e, ws[k])
+					}
+				}
 			}
-		}
+		})
 	}
-	for a := 0; a < n; a++ {
-		start[a+1] += start[a]
-	}
-	from := make([]uint32, start[n])
-	back := make([]float32, start[n])
-	fill := append([]uint32(nil), start[:n]...)
-	for i := 0; i < n; i++ {
-		es, ws := g.Neighbors(uint32(i))
-		for k, e := range es {
-			if e < uint32(i) {
-				from[fill[e]], back[fill[e]] = uint32(i), ws[k]
-				fill[e]++
-			}
-		}
-	}
+	// cursor[a] counts a's backward arcs, then holds where the next one
+	// goes; once all are placed, a's run ends at cursor[a] and starts
+	// where a-1's ends.
+	cursor := make([]uint32, n)
+	backwardArcs(func(_, e uint32, _ float32) { atomic.AddUint32(&cursor[e], 1) })
+	total := parallel.ExclusiveScanOn(p, cursor, threads)
+	from := make([]uint32, total)
+	back := make([]float32, total)
+	backwardArcs(func(i, e uint32, w float32) {
+		slot := atomic.AddUint32(&cursor[e], 1) - 1
+		from[slot], back[slot] = i, w
+	})
 	net := make([]float64, n)
+	start := uint32(0)
 	for a := 0; a < n; a++ {
+		end := cursor[a] //gvevet:exclusive the gather's atomic adds finished behind its region barrier
 		es, ws := g.Neighbors(uint32(a))
-		bs, bw := from[start[a]:start[a+1]], back[start[a]:start[a+1]]
+		bs, bw := from[start:end], back[start:end]
+		start = end
 		for k, e := range es {
 			if e > uint32(a) {
 				net[e] += float64(ws[k])

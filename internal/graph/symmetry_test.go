@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"gveleiden/internal/parallel"
 )
 
 // referenceAsymmetry is the map-based symmetry pass Validate used
@@ -83,13 +85,22 @@ func (adj arcList) csr(rng *rand.Rand, holey bool) *CSR {
 // self-loops, under perturbations inside (0.5e-3) and outside (2e-3)
 // the tolerance. Both passes sum each pair in the same order, so they
 // must agree on validity, and the error must name the smallest
-// violating pair with the reference's net, on every call.
+// violating pair with the reference's net, on every call — serially
+// and on a pool at 1, 2 and 7 threads, where a holey CSR is also
+// checked as it is, through its rows. Seeds from 200 on draw graphs
+// large enough to span several chunks of every pass.
 func TestSymmetryMatchesMapReference(t *testing.T) {
+	pool := parallel.NewPool(7)
+	defer pool.Close()
 	shapes := []string{"sorted", "unsorted", "duplicate", "holey"}
-	for seed := uint64(0); seed < 200; seed++ {
+	for seed := uint64(0); seed < 240; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 11))
 		shape := shapes[seed%uint64(len(shapes))]
-		adj := randomArcs(rng, 5+rng.IntN(60))
+		n := 5 + rng.IntN(60)
+		if seed >= 200 {
+			n = 600 + rng.IntN(2000)
+		}
+		adj := randomArcs(rng, n)
 		switch shape {
 		case "sorted":
 			adj = arcsOf(FromEdges(len(adj), upperArcs(adj)))
@@ -134,7 +145,8 @@ func TestSymmetryMatchesMapReference(t *testing.T) {
 			}
 			p++
 		}
-		g := adj.csr(rng, shape == "holey").Compact()
+		h := adj.csr(rng, shape == "holey")
+		g := h.Compact()
 		want := referenceAsymmetry(g)
 		if (kind == 1 && len(want) != 0) || (kind >= 2 && count == 1 && len(want) != 1) {
 			t.Fatalf("seed %d: kind %d perturbation gives reference violations %v", seed, kind, want)
@@ -142,6 +154,14 @@ func TestSymmetryMatchesMapReference(t *testing.T) {
 		first := g.Validate()
 		if (first == nil) != (len(want) == 0) {
 			t.Fatalf("seed %d (%s, kind %d): Validate = %v, reference violations %v", seed, shape, kind, first, want)
+		}
+		for _, threads := range []int{1, 2, 7} {
+			if err := g.ValidateOn(pool, threads); fmt.Sprint(err) != fmt.Sprint(first) {
+				t.Fatalf("seed %d (%s) %d threads: ValidateOn = %v, Validate = %v", seed, shape, threads, err, first)
+			}
+			if err := h.SymmetryOn(pool, threads); fmt.Sprint(err) != fmt.Sprint(first) {
+				t.Fatalf("seed %d (%s) %d threads: SymmetryOn = %v, Validate = %v", seed, shape, threads, err, first)
+			}
 		}
 		if first == nil {
 			continue

@@ -20,7 +20,8 @@ import (
 type LevelChecks struct {
 	// R receives the violations.
 	R *Report
-	// Threads sizes the connectivity sweep (0 = default).
+	// Threads sizes the connectivity sweep and the CSR check (0 =
+	// default).
 	Threads int
 	// Levels counts the events seen.
 	Levels int
@@ -50,7 +51,7 @@ func (lc *LevelChecks) Inspector() core.LevelInspector {
 				// makes no such promise.
 				CheckConnected(lc.R, ev.Graph, ev.Refined, lc.Threads)
 			}
-			CheckCSR(lc.R, ev.Aggregated)
+			CheckCSROn(lc.R, nil, ev.Aggregated, lc.Threads)
 			lc.R.Checks++
 			if ev.Aggregated.NumVertices() != ev.Communities {
 				lc.R.addf("csr-wellformed", "aggregated graph has %d vertices, refined partition has %d communities",

@@ -2,9 +2,11 @@ package oracle
 
 import (
 	"math"
+	"slices"
 
 	"gveleiden/internal/core"
 	"gveleiden/internal/graph"
+	"gveleiden/internal/parallel"
 	"gveleiden/internal/quality"
 )
 
@@ -57,8 +59,23 @@ func CheckRefinement(r *Report, fine, coarse []uint32) {
 // disconnected in g — the paper's headline guarantee for Leiden (it
 // deliberately does NOT hold for Louvain, the Figure 6d contrast).
 func CheckConnected(r *Report, g *graph.CSR, membership []uint32, threads int) {
+	CheckConnectedOn(r, nil, g, membership, threads)
+}
+
+// CheckConnectedOn is CheckConnected on pool p (nil = default pool).
+func CheckConnectedOn(r *Report, p *parallel.Pool, g *graph.CSR, membership []uint32, threads int) {
 	r.Checks++
-	ds := quality.CountDisconnectedOn(nil, g, membership, threads)
+	connected(r, quality.CountDisconnectedOn(p, g, membership, threads))
+}
+
+// CheckConnectedIn is CheckConnectedOn through the members index m of
+// membership (quality.IndexMembers), for a caller that keeps the index.
+func CheckConnectedIn(r *Report, p *parallel.Pool, g *graph.CSR, membership []uint32, m quality.Members, threads int) {
+	r.Checks++
+	connected(r, quality.CountDisconnectedIn(p, g, membership, m, threads))
+}
+
+func connected(r *Report, ds quality.DisconnectedStats) {
 	if ds.Disconnected > 0 {
 		r.addf("connectivity", "%d of %d communities internally disconnected", ds.Disconnected, ds.Communities)
 	}
@@ -66,29 +83,70 @@ func CheckConnected(r *Report, g *graph.CSR, membership []uint32, threads int) {
 
 // CheckCSR verifies structural well-formedness of a (possibly holey)
 // CSR: monotone offsets, holey counts within their slots, in-range arc
-// targets, finite weights, and — after compaction — a symmetric
-// weighted arc multiset.
+// targets, a symmetric weighted arc multiset, and finite weights; a
+// holey CSR's symmetry and weights are checked as its compacted copy
+// would hold them.
 func CheckCSR(r *Report, g *graph.CSR) {
+	CheckCSROn(r, nil, g, 0)
+}
+
+// CheckCSROn is CheckCSR running its passes on pool p (nil = default
+// pool) with up to threads participants (≤ 0: the default count). It
+// reports what CheckCSR reports at every thread count.
+func CheckCSROn(r *Report, p *parallel.Pool, g *graph.CSR, threads int) {
 	r.Checks++
-	if err := g.Validate(); err != nil {
+	if p == nil {
+		p = parallel.Default()
+	}
+	if threads <= 0 {
+		threads = parallel.DefaultThreads()
+	}
+	if err := g.ValidateOn(p, threads); err != nil {
 		r.addf("csr-wellformed", "%v", err)
 		return
 	}
-	c := g.Compact()
-	if c != g {
-		// Validate checks symmetry only on compact graphs; a holey CSR
-		// gets it checked here via its compacted copy.
-		if err := c.Validate(); err != nil {
-			r.addf("csr-wellformed", "compacted: %v", err)
-			return
+	if g.Counts == nil {
+		ws := g.Weights
+		if i := parallel.FirstOn(p, len(ws), threads, 1<<14, func(lo, hi, _ int) int {
+			if k := slices.IndexFunc(ws[lo:hi], nonFinite); k >= 0 {
+				return lo + k
+			}
+			return hi
+		}); i < len(ws) {
+			r.addf("csr-wellformed", "non-finite weight %g at arc %d", ws[i], i)
 		}
+		return
 	}
-	for i, w := range c.Weights {
-		if math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
-			r.addf("csr-wellformed", "non-finite weight %g at arc %d", w, i)
-			return
+	// Validate checks symmetry only on compact graphs; a holey CSR gets
+	// it checked here, through its rows.
+	if err := g.SymmetryOn(p, threads); err != nil {
+		r.addf("csr-wellformed", "compacted: %v", err)
+		return
+	}
+	n := g.NumVertices()
+	v := parallel.FirstOn(p, n, threads, 512, func(lo, hi, _ int) int {
+		for v := lo; v < hi; v++ {
+			if _, ws := g.Neighbors(uint32(v)); slices.ContainsFunc(ws, nonFinite) {
+				return v
+			}
 		}
+		return hi
+	})
+	if v == n {
+		return
 	}
+	// Name the arc by its index in the compacted copy.
+	at := 0
+	for u := 0; u < v; u++ {
+		at += int(g.Counts[u])
+	}
+	_, ws := g.Neighbors(uint32(v))
+	k := slices.IndexFunc(ws, nonFinite)
+	r.addf("csr-wellformed", "non-finite weight %g at arc %d", ws[k], at+k)
+}
+
+func nonFinite(w float32) bool {
+	return math.IsNaN(float64(w)) || math.IsInf(float64(w), 0)
 }
 
 // CheckWeightConservation verifies that aggregation preserved the total

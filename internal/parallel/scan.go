@@ -100,6 +100,31 @@ func SumFloat64On(p *Pool, a []float64, threads int) float64 {
 	return total
 }
 
+// FirstOn returns the smallest failing index in [0, n), or n if none
+// fails, testing grain-sized chunks on pool p: first(lo, hi, tid)
+// returns the smallest failing index in [lo, hi), or hi, where tid is
+// the testing participant as in Pool.For. A participant skips the
+// chunks past the smallest failure it has found, so the answer is the
+// same at every thread count.
+func FirstOn(p *Pool, n, threads, grain int, first func(lo, hi, tid int) int) int {
+	found := make([]Padded[int], max(threads, 1))
+	for t := range found {
+		found[t].V = n
+	}
+	p.For(n, threads, grain, func(lo, hi, tid int) {
+		if end := min(hi, found[tid].V); lo < end {
+			if i := first(lo, end, tid); i < end {
+				found[tid].V = i
+			}
+		}
+	})
+	out := n
+	for t := range found {
+		out = min(out, found[t].V)
+	}
+	return out
+}
+
 // ExclusiveScanUint32 runs ExclusiveScanOn for uint32 slices on pool p.
 func (p *Pool) ExclusiveScanUint32(a []uint32, threads int) uint32 {
 	return ExclusiveScanOn(p, a, threads)

@@ -11,6 +11,7 @@ package quality
 
 import (
 	"fmt"
+	"slices"
 
 	"gveleiden/internal/graph"
 	"gveleiden/internal/parallel"
@@ -214,59 +215,118 @@ type DisconnectedStats struct {
 
 // CountDisconnected counts communities whose induced subgraph is
 // internally disconnected — the algorithm from the paper's extended
-// report, used for Figure 6(d). It groups vertices by community with a
-// counting sort, then BFS-checks each community in parallel (each worker
-// reuses its own scratch). Runs on the shared default pool; use
+// report, used for Figure 6(d). Runs on the shared default pool; use
 // CountDisconnectedOn to supply a dedicated one.
 func CountDisconnected(g *graph.CSR, membership []uint32, threads int) DisconnectedStats {
 	return CountDisconnectedOn(nil, g, membership, threads)
 }
 
 // CountDisconnectedOn is CountDisconnected executing its parallel
-// BFS sweep on the given pool (nil = default pool).
+// BFS sweep on the given pool (nil = default pool). It groups the
+// vertices by community (IndexMembers) and checks each community
+// with CountDisconnectedIn. Labels need not be dense; a membership
+// with a label at or past the vertex count is renumbered densely
+// first.
 func CountDisconnectedOn(p *parallel.Pool, g *graph.CSR, membership []uint32, threads int) DisconnectedStats {
 	n := g.NumVertices()
 	if n == 0 {
 		return DisconnectedStats{}
 	}
+	labels := membership[:n]
+	if int(slices.Max(labels)) >= n {
+		labels, _ = denseLabels(n, labels)
+	}
+	return CountDisconnectedIn(p, g, labels, IndexMembers(labels), threads)
+}
+
+// Members is the members index of a partition: community c's vertices,
+// in ascending order, are Vertices[Offsets[c]:Offsets[c+1]].
+type Members struct {
+	Offsets  []uint32 // len k+1
+	Vertices []uint32 // len n
+}
+
+// IndexMembers groups the vertices of membership by community with a
+// counting sort, so each community's members come out in ascending
+// order. Communities are the labels [0, max label]; a label no vertex
+// carries is an empty community. Labels must lie below
+// len(membership), as ValidatePartition guarantees.
+func IndexMembers(membership []uint32) Members {
+	k := 0
+	if len(membership) > 0 {
+		k = int(slices.Max(membership)) + 1
+	}
+	off := make([]uint32, k+1)
+	for _, c := range membership {
+		off[c]++
+	}
+	var sum uint32
+	for c := 0; c < k; c++ {
+		off[c], sum = sum, sum+off[c]
+	}
+	off[k] = sum
+	vs := make([]uint32, len(membership))
+	for v, c := range membership {
+		vs[off[c]] = uint32(v)
+		off[c]++
+	}
+	// Each off[c] has advanced to where community c+1 starts.
+	copy(off[1:], off[:k])
+	off[0] = 0
+	return Members{Offsets: off, Vertices: vs}
+}
+
+// Len returns the number of communities, empty ones included.
+func (m Members) Len() int { return max(len(m.Offsets)-1, 0) }
+
+// Of returns community c's members in ascending order. The slice
+// aliases the index and is capacity-capped, so an append to it
+// reallocates instead of writing into community c+1.
+func (m Members) Of(c uint32) []uint32 {
+	lo, hi := m.Offsets[c], m.Offsets[c+1]
+	return m.Vertices[lo:hi:hi]
+}
+
+// CountDisconnectedIn counts the disconnected communities of
+// membership given its members index m (IndexMembers of the same
+// membership), BFS-checking the communities in parallel on pool p (nil
+// = default pool). A BFS from a community's first member follows only
+// arcs to vertices v with membership[v] == c. The communities are
+// disjoint, so one visited array and one queue array shared by all
+// workers suffice: community c queues its vertices in its own segment
+// of the index's layout. Communities counts the nonempty communities.
+func CountDisconnectedIn(p *parallel.Pool, g *graph.CSR, membership []uint32, m Members, threads int) DisconnectedStats {
 	if p == nil {
 		p = parallel.Default()
 	}
 	if threads <= 0 {
 		threads = parallel.DefaultThreads()
 	}
-	// Renumber labels densely and bucket vertices per community.
-	dense := make(map[uint32]uint32, 256)
-	for _, c := range membership {
-		if _, ok := dense[c]; !ok {
-			dense[c] = uint32(len(dense))
-		}
-	}
-	k := len(dense)
-	counts := make([]uint32, k+1)
-	for _, c := range membership {
-		counts[dense[c]+1]++
-	}
-	for i := 0; i < k; i++ {
-		counts[i+1] += counts[i]
-	}
-	bucket := make([]uint32, n)
-	cursor := append([]uint32(nil), counts[:k]...)
-	for i := 0; i < n; i++ {
-		c := dense[membership[i]]
-		bucket[cursor[c]] = uint32(i)
-		cursor[c]++
-	}
+	k := m.Len()
+	visited := make([]bool, len(membership))
+	queue := make([]uint32, len(membership))
 	// Padded counters: adjacent workers otherwise bounce the cache line
 	// holding their increment targets.
 	bad := make([]parallel.Padded[int64], threads)
-	scratches := make([]*graph.SubsetScratch, threads)
-	for t := range scratches {
-		scratches[t] = graph.NewSubsetScratch(n)
-	}
 	p.ForEach(k, threads, 8, func(c, tid int) {
-		members := bucket[counts[c]:counts[c+1]]
-		if !scratches[tid].SubsetConnected(g, members) {
+		members := m.Of(uint32(c))
+		if len(members) <= 1 {
+			return
+		}
+		q := queue[m.Offsets[c]:m.Offsets[c+1]]
+		q[0], visited[members[0]] = members[0], true
+		tail := 1
+		for head := 0; head < tail; head++ {
+			es, _ := g.Neighbors(q[head])
+			for _, v := range es {
+				if membership[v] == uint32(c) && !visited[v] {
+					visited[v] = true
+					q[tail] = v
+					tail++
+				}
+			}
+		}
+		if tail != len(members) {
 			bad[tid].V++
 		}
 	})
@@ -274,9 +334,15 @@ func CountDisconnectedOn(p *parallel.Pool, g *graph.CSR, membership []uint32, th
 	for i := range bad {
 		total += bad[i].V
 	}
-	frac := 0.0
-	if k > 0 {
-		frac = float64(total) / float64(k)
+	communities := 0
+	for c := 0; c < k; c++ {
+		if m.Offsets[c+1] > m.Offsets[c] {
+			communities++
+		}
 	}
-	return DisconnectedStats{Communities: k, Disconnected: int(total), Fraction: frac}
+	frac := 0.0
+	if communities > 0 {
+		frac = float64(total) / float64(communities)
+	}
+	return DisconnectedStats{Communities: communities, Disconnected: int(total), Fraction: frac}
 }

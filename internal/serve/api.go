@@ -98,11 +98,12 @@ type StatsResponse struct {
 	Rejections    int64  `json:"rejections"` // candidates not published: gate failures and recovered panics
 	LastRejection string `json:"last_rejection,omitempty"`
 
-	PendingInsertions int `json:"pending_insertions"` // ingested, not yet in a snapshot
+	PendingInsertions int `json:"pending_insertions"` // ingested, not yet in a published snapshot (a running recompute's batch included)
 	PendingDeletions  int `json:"pending_deletions"`
 }
 
-// RecomputeResponse acknowledges POST /recompute.
+// RecomputeResponse acknowledges POST /recompute, which queues a warm
+// recompute over whatever delta is pending, possibly none.
 type RecomputeResponse struct {
 	Queued  bool   `json:"queued"`
 	Version uint64 `json:"version"`

@@ -116,7 +116,8 @@ func (c *Client) ApplyDelta(insertions, deletions []EdgeUpdate) (DeltaResponse, 
 	return out, err
 }
 
-// Recompute schedules a snapshot rebuild.
+// Recompute queues a warm recompute over whatever delta is pending,
+// possibly none.
 func (c *Client) Recompute() (RecomputeResponse, error) {
 	var out RecomputeResponse
 	err := c.do(http.MethodPost, "/recompute", nil, &out)

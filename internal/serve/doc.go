@@ -9,7 +9,12 @@
 // delta semantics of graph.EvaluateDelta; they accumulate in a mutable
 // stream.Graph and a bounded background worker folds them into the next
 // snapshot with a warm-started dynamic Leiden run
-// (core.LeidenDynamicHierarchy). Every candidate partition must pass
+// (core.LeidenDynamicHierarchy); POST /recompute queues the same warm
+// run on demand, over whatever delta is pending, possibly none. A
+// swap's stages outside the run — the stream merge, the gate's checks
+// and the members index — run on the server's pool, and the snapshot
+// serves /members from the index the gate checked connectivity
+// through. Every candidate partition must pass
 // the internal/oracle invariant suite — CSR well-formedness, partition
 // validity, no internally-disconnected communities — plus a
 // differential quality bound against the previous snapshot before the

@@ -171,9 +171,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) stats() StatsResponse {
-	snap := s.snap.Load()
+	// A publish stores the snapshot and clears the taken delta under
+	// s.mu, so both read here describe the same moment.
 	s.mu.Lock()
-	pIns, pDel := len(s.pendingIns), len(s.pendingDel)
+	snap := s.snap.Load()
+	pIns, pDel, _ := s.pending()
 	s.mu.Unlock()
 	s.rejMu.Lock()
 	lastRej := s.lastRej
@@ -256,7 +258,10 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 // (phase histograms, flight-recorder-backed lifetime counters).
 func (s *Server) gatherMetrics() *observe.MetricSet {
 	ms := observe.NewMetricSet()
+	s.mu.Lock()
 	snap := s.snap.Load()
+	pIns, pDel, oldest := s.pending()
+	s.mu.Unlock()
 	ms.Gauge("gveserve_snapshot_version", "Version of the published snapshot.", float64(snap.Version))
 	ms.Gauge("gveserve_snapshot_vertices", "Vertices in the published snapshot.", float64(snap.Graph.NumVertices()))
 	ms.Gauge("gveserve_snapshot_edges", "Undirected edges in the published snapshot.", float64(snap.edges))
@@ -269,11 +274,13 @@ func (s *Server) gatherMetrics() *observe.MetricSet {
 		float64(s.deltaOK.Load()), observe.L("status", "accepted"))
 	ms.Counter("gveserve_delta_batches_total", "Ingested delta batches by outcome.",
 		float64(s.deltaBad.Load()), observe.L("status", "rejected"))
-	s.mu.Lock()
-	pIns, pDel := len(s.pendingIns), len(s.pendingDel)
-	s.mu.Unlock()
-	ms.Gauge("gveserve_pending_insertions", "Ingested insertions not yet in a snapshot.", float64(pIns))
-	ms.Gauge("gveserve_pending_deletions", "Ingested deletions not yet in a snapshot.", float64(pDel))
+	age := 0.0
+	if !oldest.IsZero() {
+		age = time.Since(oldest).Seconds()
+	}
+	ms.Gauge("gveserve_pending_insertions", "Ingested insertions not yet in a published snapshot.", float64(pIns))
+	ms.Gauge("gveserve_pending_deletions", "Ingested deletions not yet in a published snapshot.", float64(pDel))
+	ms.Gauge("gveserve_pending_age_seconds", "Seconds since the oldest ingested batch that no published snapshot holds yet (0 when there is none).", age)
 	for _, e := range endpoints {
 		ms.Counter("gveserve_requests_total", "Requests served by endpoint.",
 			float64(s.reqs[e].Load()), observe.L("endpoint", e))

@@ -17,11 +17,14 @@ import (
 	"gveleiden/internal/observe"
 	"gveleiden/internal/oracle"
 	"gveleiden/internal/parallel"
+	"gveleiden/internal/quality"
 	"gveleiden/internal/stream"
 )
 
 // Config configures a Server. The zero value is usable but strict;
-// start from DefaultConfig.
+// start from DefaultConfig. A warm recompute runs after each ingested
+// delta and on demand (POST /recompute, Kick); nothing runs on a
+// timer.
 type Config struct {
 	// Options configures every detection run (cold and warm). The
 	// Observer is chained with the server's own telemetry.
@@ -39,9 +42,6 @@ type Config struct {
 	// value rejects candidates that don't *improve* by |drop| — useful
 	// to force rejections under test.
 	MaxQualityDrop float64
-	// RebuildInterval, when positive, triggers a periodic recompute even
-	// without ingests — a freshness floor for warm-start drift.
-	RebuildInterval time.Duration
 	// FlightSize is the flight-recorder capacity (<=0: observe default).
 	FlightSize int
 	// Logger receives swap/rejection/ingest records; nil discards.
@@ -75,13 +75,16 @@ type Server struct {
 
 	// mu guards the mutable ingest state: the stream graph and the
 	// delta accumulated since the last *published* snapshot. The
-	// recompute worker consumes it; a rejected candidate puts its
-	// consumed delta back so the next attempt still describes the
-	// transition from the published snapshot.
+	// recompute worker takes the queued delta; a rejected candidate puts
+	// it back so the next attempt still describes the transition from
+	// the published snapshot. Until its snapshot is published, the taken
+	// delta still counts as pending.
 	mu         sync.Mutex
 	sg         *stream.Graph
 	pendingIns []graph.Edge
 	pendingDel []graph.Edge
+	queuedAt   time.Time // ingest time of the oldest queued batch; zero when none is queued
+	taken      taken     // the delta the running recompute took
 
 	snap atomic.Pointer[Snapshot]
 
@@ -104,8 +107,26 @@ type Server struct {
 	stages [numStages]*observe.Histogram
 }
 
+// taken is the delta a recompute took from the queue, pending until
+// its snapshot is published.
+type taken struct {
+	ins, del int
+	at       time.Time // ingest time of its oldest batch; zero when it holds none
+}
+
+// pending returns the ingested insertions and deletions no published
+// snapshot holds yet, and the ingest time of the oldest batch among
+// them (zero when there is none). The caller holds s.mu.
+func (s *Server) pending() (ins, del int, oldest time.Time) {
+	oldest = s.taken.at
+	if oldest.IsZero() {
+		oldest = s.queuedAt
+	}
+	return len(s.pendingIns) + s.taken.ins, len(s.pendingDel) + s.taken.del, oldest
+}
+
 // The timed stages of a published swap, in order: building the graph
-// the run consumes (stream.Graph.Snapshot; for the initial build,
+// the run consumes (stream.Graph.SnapshotOn; for the initial build,
 // stream.FromCSR normalizing the caller's graph first), the detection
 // run, the oracle gate, and the query-index build (newSnapshot).
 const (
@@ -171,19 +192,20 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 	var took [numStages]time.Duration
 	t := time.Now()
 	s.sg = stream.FromCSR(g)
-	g = s.sg.Snapshot()
+	g = s.sg.SnapshotOn(s.pool, cfg.Options.Threads)
 	took[stageSnapshot] = time.Since(t)
 	opt := s.runOptions()
 	start := time.Now()
 	res, h := core.LeidenHierarchy(g, opt)
 	took[stageRun] = time.Since(start)
 	t = time.Now()
-	if err := s.gate(g, res, nil); err != nil {
+	members, err := s.gate(g, res, nil)
+	if err != nil {
 		return nil, fmt.Errorf("serve: initial run failed the oracle gate: %w", err)
 	}
 	took[stageGate] = time.Since(t)
 	t = time.Now()
-	snap := newSnapshot(g, s.sg.NumEdges(), res, h, 1, false)
+	snap := newSnapshot(g, s.sg.NumEdges(), res, h, members, 1, false)
 	took[stageIndex] = time.Since(t)
 	s.snap.Store(snap)
 	s.recomputes.Add(1)
@@ -238,6 +260,9 @@ func (s *Server) Ingest(insertions, deletions []graph.Edge) error {
 	if err == nil {
 		s.pendingIns = append(s.pendingIns, insertions...)
 		s.pendingDel = append(s.pendingDel, deletions...)
+		if s.queuedAt.IsZero() {
+			s.queuedAt = time.Now()
+		}
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -259,7 +284,8 @@ func checkGrowth(limit int, insertions []graph.Edge) error {
 	return nil
 }
 
-// Kick schedules a recompute; a no-op when one is already queued.
+// Kick schedules a warm recompute over whatever delta is pending,
+// possibly none (POST /recompute); a no-op when one is already queued.
 func (s *Server) Kick() {
 	select {
 	case s.kick <- struct{}{}:
@@ -283,43 +309,37 @@ func (s *Server) Close(ctx context.Context) error {
 }
 
 // worker is the bounded recompute loop: one goroutine, woken by Kick
-// (capacity-1 channel, so bursts coalesce) and optionally by the
-// rebuild ticker, exiting on Close.
+// (capacity-1 channel, so bursts coalesce), exiting on Close.
 func (s *Server) worker(ctx context.Context) {
 	defer close(s.done)
-	var tickC <-chan time.Time
-	if s.cfg.RebuildInterval > 0 {
-		t := time.NewTicker(s.cfg.RebuildInterval)
-		defer t.Stop()
-		tickC = t.C
-	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-s.kick:
-		case <-tickC:
 		}
 		s.recompute()
 	}
 }
 
-// recompute consumes the pending delta, runs warm-started dynamic
-// Leiden on the current mutable graph, gates the candidate, and — only
-// on a clean gate — publishes it. On rejection the consumed delta is
-// prepended back so the next candidate still describes the transition
-// from the (unchanged) published snapshot. A panic in the run, the gate
-// or the index build counts as a rejection too (see candidate), so the
+// recompute takes the queued delta, runs warm-started dynamic Leiden
+// on the current mutable graph, gates the candidate, and — only on a
+// clean gate — publishes it. The taken delta counts as pending until
+// then. On rejection it is prepended back, with its ingest time, so
+// the next candidate still describes the transition from the
+// (unchanged) published snapshot. A panic in the run, the gate or the
+// index build counts as a rejection too (see candidate), so the
 // published snapshot keeps serving and no ingested delta is lost.
 func (s *Server) recompute() {
 	var took [numStages]time.Duration
 	s.mu.Lock()
 	t := time.Now()
-	g := s.sg.Snapshot()
+	g := s.sg.SnapshotOn(s.pool, s.cfg.Options.Threads)
 	took[stageSnapshot] = time.Since(t)
 	edges := s.sg.NumEdges()
 	ins, del := s.pendingIns, s.pendingDel
-	s.pendingIns, s.pendingDel = nil, nil
+	s.taken = taken{ins: len(ins), del: len(del), at: s.queuedAt}
+	s.pendingIns, s.pendingDel, s.queuedAt = nil, nil, time.Time{}
 	s.mu.Unlock()
 
 	prev := s.snap.Load()
@@ -331,6 +351,10 @@ func (s *Server) recompute() {
 		s.mu.Lock()
 		s.pendingIns = append(ins, s.pendingIns...)
 		s.pendingDel = append(del, s.pendingDel...)
+		if !s.taken.at.IsZero() {
+			s.queuedAt = s.taken.at
+		}
+		s.taken = taken{}
 		s.mu.Unlock()
 		s.rejMu.Lock()
 		s.lastRej = err.Error()
@@ -348,7 +372,10 @@ func (s *Server) recompute() {
 			slog.Duration("elapsed", time.Since(start)))
 		return
 	}
+	s.mu.Lock()
+	s.taken = taken{}
 	s.snap.Store(next)
+	s.mu.Unlock()
 	s.recomputes.Add(1)
 	s.observeStages(took)
 	s.recordRun("serve-recompute", res, g, start, took, "passed")
@@ -393,25 +420,35 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 	runtime.GC()
 
 	t := time.Now()
-	if err := s.gate(g, res, prev); err != nil {
+	members, err := s.gate(g, res, prev)
+	if err != nil {
 		return res, nil, err
 	}
 	took[stageGate] = time.Since(t)
 	t = time.Now()
-	next = newSnapshot(g, edges, res, h, prev.Version+1, true)
+	next = newSnapshot(g, edges, res, h, members, prev.Version+1, true)
 	took[stageIndex] = time.Since(t)
 	return res, next, nil
 }
 
-// gate runs the invariant suite on a candidate: CSR well-formedness,
-// partition validity with dense labels, no internally-disconnected
-// communities, and (when prev is non-nil) the differential quality
-// bound. Any violation blocks publication.
-func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) error {
+// gate runs the invariant suite on a candidate, on the server's pool:
+// CSR well-formedness, partition validity with dense labels, no
+// internally-disconnected communities, and (when prev is non-nil) the
+// differential quality bound. Any violation blocks publication. A
+// candidate that passes gets the members index its connectivity was
+// checked through, for the snapshot to serve.
+func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) (quality.Members, error) {
 	r := &oracle.Report{}
-	oracle.CheckCSR(r, g)
+	threads := s.cfg.Options.Threads
+	oracle.CheckCSROn(r, s.pool, g, threads)
 	oracle.CheckPartition(r, g, res.Membership, true)
-	oracle.CheckConnected(r, g, res.Membership, s.cfg.Options.Threads)
+	var members quality.Members
+	if r.Ok() {
+		members = quality.IndexMembers(res.Membership)
+		oracle.CheckConnectedIn(r, s.pool, g, res.Membership, members, threads)
+	} else {
+		oracle.CheckConnectedOn(r, s.pool, g, res.Membership, threads)
+	}
 	if prev != nil {
 		r.Checks++
 		bound := prev.Result.Modularity - s.cfg.MaxQualityDrop
@@ -423,7 +460,7 @@ func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) error {
 			})
 		}
 	}
-	return r.Err()
+	return members, r.Err()
 }
 
 // observeStages records the stage times of one published swap, so

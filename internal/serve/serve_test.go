@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -471,15 +472,6 @@ func TestServeRecomputeEndpoint(t *testing.T) {
 	}
 }
 
-// TestServePeriodicRebuild: RebuildInterval republishes without any
-// ingest.
-func TestServePeriodicRebuild(t *testing.T) {
-	cfg := testConfig()
-	cfg.RebuildInterval = 50 * time.Millisecond
-	_, c := startServer(t, cfg)
-	waitVersion(t, c, 2)
-}
-
 // TestServeGateRunsInvariantSuite: sanity-check that the gate itself
 // catches a corrupt membership, independent of the differential bound.
 func TestServeGateRejectsCorruptPartition(t *testing.T) {
@@ -498,7 +490,7 @@ func TestServeGateRejectsCorruptPartition(t *testing.T) {
 		Membership:     make([]uint32, g.NumVertices()),
 		NumCommunities: 2, // labels are all 0 — not dense in [0,2)
 	}
-	if err := s.gate(g, res, s.Snapshot()); err == nil {
+	if _, err := s.gate(g, res, s.Snapshot()); err == nil {
 		t.Fatal("gate accepted a corrupt partition")
 	}
 }
@@ -923,4 +915,190 @@ func TestServeFlightRecordsStageTimes(t *testing.T) {
 			t.Fatalf("a refused candidate records an index time: %v", rec)
 		}
 	})
+}
+
+// holdObserver, once armed, holds the run at its next pass event until
+// released, then panics there if the arming asked for a failure.
+type holdObserver struct {
+	armed   atomic.Bool
+	fail    bool
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+// arm holds the next run; the caller must not arm again before that
+// run is released.
+func (o *holdObserver) arm(fail bool) {
+	o.fail, o.held, o.release, o.once = fail, make(chan struct{}), make(chan struct{}), sync.Once{}
+	o.armed.Store(true)
+}
+
+// let releases the held run; later calls do nothing.
+func (o *holdObserver) let() {
+	if o.release != nil {
+		o.once.Do(func() { close(o.release) })
+	}
+}
+
+func (o *holdObserver) OnIteration(observe.IterEvent) {}
+
+func (o *holdObserver) OnPass(observe.PassEvent) {
+	if !o.armed.CompareAndSwap(true, false) {
+		return
+	}
+	close(o.held)
+	<-o.release
+	if o.fail {
+		panic("injected failure after the hold")
+	}
+}
+
+// pendingAge reads gveserve_pending_age_seconds from /metrics.
+func pendingAge(t *testing.T, c *Client) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(metricLine(t, c, "gveserve_pending_age_seconds"), 64)
+	if err != nil {
+		t.Fatalf("gveserve_pending_age_seconds: %v", err)
+	}
+	return v
+}
+
+// TestServePendingCountsTheBatchInFlight: a batch the recompute has
+// taken stays pending until its snapshot is published. While the run
+// is held, /stats counts the batch and the staleness gauge grows; after
+// publication both read 0. A rejected batch goes back to the queue
+// with its original ingest time, so its age keeps counting from there.
+func TestServePendingCountsTheBatchInFlight(t *testing.T) {
+	obs := &holdObserver{}
+	cfg := testConfig()
+	cfg.Options.Observer = obs
+	s, c := startServer(t, cfg)
+	t.Cleanup(obs.let) // a failed check must not leave the run held for Close
+	if age := pendingAge(t, c); age != 0 {
+		t.Fatalf("age %g with nothing ingested", age)
+	}
+
+	obs.arm(false)
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}, {U: 1, V: 998, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-obs.held
+	time.Sleep(30 * time.Millisecond)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 1 || st.PendingInsertions != 2 || st.PendingDeletions != 0 {
+		t.Fatalf("while the run is held: %+v", st)
+	}
+	if age := pendingAge(t, c); age < 0.03 {
+		t.Fatalf("age %g while the run is held, want ≥ 0.03", age)
+	}
+	obs.let()
+	waitVersion(t, c, 2)
+	if st, err = c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if st.PendingInsertions != 0 || st.PendingDeletions != 0 {
+		t.Fatalf("after publication: %+v", st)
+	}
+	if age := pendingAge(t, c); age != 0 {
+		t.Fatalf("age %g after publication", age)
+	}
+
+	obs.arm(true)
+	if _, err := c.ApplyDelta(nil, []EdgeUpdate{{U: 0, V: 999}}); err != nil {
+		t.Fatal(err)
+	}
+	<-obs.held
+	time.Sleep(100 * time.Millisecond)
+	obs.let()
+	waitRejections(t, s, 1)
+	if st, err = c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 2 || st.PendingInsertions != 0 || st.PendingDeletions != 1 {
+		t.Fatalf("after the rejection: %+v", st)
+	}
+	if age := pendingAge(t, c); age < 0.1 {
+		t.Fatalf("age %g after the rejection, want ≥ 0.1 (counted from the ingest)", age)
+	}
+}
+
+// TestServeGateRejectsOnItsPool: the gate runs its checks on the
+// server's pool and refuses a candidate with an asymmetric arc, one
+// with a disconnected community, and one with non-dense labels; each
+// for the invariant it breaks.
+func TestServeGateRejectsOnItsPool(t *testing.T) {
+	pool := parallel.NewPool(2)
+	t.Cleanup(pool.Close) // after the server's own cleanup
+	cfg := testConfig()
+	cfg.Options.Pool = pool
+	s, _ := startServer(t, cfg)
+	snap := s.Snapshot()
+	g, n := snap.Graph, snap.Graph.NumVertices()
+	candidate := func(membership []uint32) *core.Result {
+		k := slices.Max(membership) + 1
+		return &core.Result{Membership: membership, NumCommunities: int(k), Modularity: snap.Result.Modularity}
+	}
+
+	asym := g.Clone()
+	asym.Weights[len(asym.Weights)-1] += 1
+	// Two non-adjacent vertices under one label, everything else alone.
+	apart := make([]uint32, n)
+	for v := range apart {
+		apart[v] = uint32(v)
+	}
+	far := uint32(n - 1)
+	for g.HasArc(0, far) {
+		far--
+	}
+	apart[far] = 0
+	for v := far + 1; v < uint32(n); v++ {
+		apart[v]-- // keep the labels dense
+	}
+	gaps := slices.Clone(snap.Result.Membership)
+	for v := range gaps {
+		if gaps[v] > 0 {
+			gaps[v]++ // label 1 unused
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		g         *graph.CSR
+		res       *core.Result
+		invariant string
+	}{
+		{"asymmetric arc", asym, snap.Result, "csr-wellformed: graph: asymmetric arcs"},
+		{"disconnected community", g, candidate(apart), "connectivity: 1 of"},
+		{"non-dense labels", g, candidate(gaps), "partition-validity: labels not dense"},
+	} {
+		before := pool.Counters().Regions
+		_, err := s.gate(tc.g, tc.res, snap)
+		if err == nil || !strings.Contains(err.Error(), tc.invariant) {
+			t.Fatalf("%s: gate error %v, want %q", tc.name, err, tc.invariant)
+		}
+		if pool.Counters().Regions == before {
+			t.Fatalf("%s: the gate ran no region on the server's pool", tc.name)
+		}
+	}
+}
+
+// TestSnapshotMembersAreCapacityCapped: a caller appending to one
+// community's members cannot write into the next community's.
+func TestSnapshotMembersAreCapacityCapped(t *testing.T) {
+	s, _ := startServer(t, testConfig())
+	snap := s.Snapshot()
+	if snap.Result.NumCommunities < 2 {
+		t.Fatal("need two communities")
+	}
+	next, _ := snap.Members(1)
+	want := slices.Clone(next)
+	first, _ := snap.Members(0)
+	_ = append(first, ^uint32(0))
+	if got, _ := snap.Members(1); !slices.Equal(got, want) {
+		t.Fatalf("community 1 changed after an append to community 0: %v, want %v", got, want)
+	}
 }

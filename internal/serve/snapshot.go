@@ -5,6 +5,7 @@ import (
 
 	"gveleiden/internal/core"
 	"gveleiden/internal/graph"
+	"gveleiden/internal/quality"
 )
 
 // Snapshot is one immutable published state of the server: a graph, a
@@ -28,19 +29,17 @@ type Snapshot struct {
 	// edges is Graph's undirected edge count, recorded at publication
 	// so that no reader rescans every arc.
 	edges int64
-	// members[c] lists community c's vertices in ascending order — the
-	// /members index, built once at publication instead of scanning the
-	// membership per query.
-	members [][]uint32
+	// members lists each community's vertices in ascending order — the
+	// /members index, the one the gate checked connectivity through.
+	members quality.Members
 }
 
-// newSnapshot derives the query index; edges is g's undirected edge
-// count. Building the members index is a counting sort over the
-// membership: sizes, offsets, then one fill pass in vertex order, which
-// leaves every list sorted. /hierarchy needs no index: it composes the
+// newSnapshot assembles a snapshot; edges is g's undirected edge count
+// and members the index of res.Membership that the gate built
+// (quality.IndexMembers). /hierarchy needs no index: it composes the
 // dendrogram levels for its one vertex, O(depth) per query.
-func newSnapshot(g *graph.CSR, edges int64, res *core.Result, h *core.Hierarchy, version uint64, warm bool) *Snapshot {
-	s := &Snapshot{
+func newSnapshot(g *graph.CSR, edges int64, res *core.Result, h *core.Hierarchy, members quality.Members, version uint64, warm bool) *Snapshot {
+	return &Snapshot{
 		Graph:     g,
 		Result:    res,
 		Hierarchy: h,
@@ -48,19 +47,8 @@ func newSnapshot(g *graph.CSR, edges int64, res *core.Result, h *core.Hierarchy,
 		BuiltAt:   time.Now(),
 		Warm:      warm,
 		edges:     edges,
+		members:   members,
 	}
-	s.members = make([][]uint32, res.NumCommunities)
-	sizes := make([]int, res.NumCommunities)
-	for _, c := range res.Membership {
-		sizes[c]++
-	}
-	for c, n := range sizes {
-		s.members[c] = make([]uint32, 0, n)
-	}
-	for v, c := range res.Membership {
-		s.members[c] = append(s.members[c], uint32(v))
-	}
-	return s
 }
 
 // Community returns the community of vertex v and whether v is in
@@ -72,13 +60,14 @@ func (s *Snapshot) Community(v uint32) (uint32, bool) {
 	return s.Result.Membership[v], true
 }
 
-// Members returns community c's sorted member list (aliasing the
-// snapshot's index — callers must not mutate it) and whether c exists.
+// Members returns community c's sorted member list and whether c
+// exists. The list aliases the snapshot's index, so callers must not
+// write it; it is capacity-capped, so an append reallocates.
 func (s *Snapshot) Members(c uint32) ([]uint32, bool) {
-	if int(c) >= len(s.members) {
+	if int(c) >= s.members.Len() {
 		return nil, false
 	}
-	return s.members[c], true
+	return s.members.Of(c), true
 }
 
 // Depth returns the dendrogram depth (0 when no hierarchy was

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gveleiden/internal/graph"
+	"gveleiden/internal/parallel"
 )
 
 // Graph is a mutable weighted undirected graph: an immutable canonical
@@ -84,19 +85,24 @@ func (s *Graph) Apply(insertions, deletions []graph.Edge) error {
 	return nil
 }
 
-// Snapshot returns the current state as a canonical CSR — the input
+// Snapshot is SnapshotOn on the default pool with the default thread
+// count.
+func (s *Graph) Snapshot() *graph.CSR { return s.SnapshotOn(nil, 0) }
+
+// SnapshotOn returns the current state as a canonical CSR — the input
 // format of the detection algorithms, bit-identical to what
 // graph.ApplyDelta builds from the same batches. It merges the base
-// with the overlay in one linear pass (graph.MergeDelta), and the
-// result becomes the new base; with nothing pending it returns the
-// base unchanged. The returned CSR is shared with the graph and never
-// written again, so it stays valid across later mutations.
-// O(N + M + P log P) for P pending pairs.
-func (s *Graph) Snapshot() *graph.CSR {
+// with the overlay in one block-parallel pass on pool p (nil = the
+// default pool; graph.MergeDeltaOn), and the result becomes the new
+// base; with nothing pending it returns the base unchanged. The
+// returned CSR is shared with the graph and never written again, so it
+// stays valid across later mutations. O(N + M + P log P) for P pending
+// pairs.
+func (s *Graph) SnapshotOn(p *parallel.Pool, threads int) *graph.CSR {
 	if len(s.overlay) == 0 && s.n == s.base.NumVertices() {
 		return s.base
 	}
-	s.base = graph.MergeDelta(s.base, s.n, s.overlay)
+	s.base = graph.MergeDeltaOn(p, s.base, s.n, s.overlay, threads)
 	s.overlay = map[uint64]graph.DeltaState{}
 	return s.base
 }
