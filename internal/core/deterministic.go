@@ -61,7 +61,6 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 			// can change them — different colors — and applies happen
 			// only after the barrier below).
 			ws.opt.Pool.For(len(class), threads, grain/4+1, func(lo, hi, tid int) {
-				h := ws.tables[tid]
 				f := &ws.flats[tid]
 				var scanned, pruned, flat, moves int64
 				for idx := lo; idx < hi; idx++ {
@@ -110,6 +109,7 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 							}
 						}
 					} else {
+						h := ws.table(tid, n)
 						h.Clear()
 						scanCommunities(h, g, comm, u, false)
 						kid = h.Get(d)
@@ -215,7 +215,6 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 	for cls := 0; cls < col.NumColors; cls++ {
 		class := col.Class(cls)
 		ws.opt.Pool.For(len(class), threads, 64, func(lo, hi, tid int) {
-			h := ws.tables[tid]
 			f := &ws.flats[tid]
 			for idx := lo; idx < hi; idx++ {
 				u := class[idx]
@@ -229,6 +228,7 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 				if !ws.opt.DisableFlatScan && g.Degree(u) <= hashtable.FlatCap {
 					target, ok = ws.bestBoundedFlat(g, f, bounds, comm, c, u, ki)
 				} else {
+					h := ws.table(tid, n)
 					h.Clear()
 					scanBounded(h, g, bounds, comm, u)
 					target, ok = ws.bestBounded(h, c, u, ki)

@@ -251,7 +251,7 @@ func TestAggregateFlatBoundaries(t *testing.T) {
 		opt.DisableFlatScan = disable
 		ws := newWorkspace(g, opt.normalize())
 		copy(ws.comm, comm)
-		a, _ := ws.aggregate(g, nComms)
+		a, _, _ := ws.aggregate(g, nComms)
 		return copyAggregated(a)
 	}
 	want, got := run(true), run(false)

@@ -65,27 +65,18 @@ func LeidenHierarchy(g *graph.CSR, opt Options) (*Result, *Hierarchy) {
 }
 
 // recordLevel appends one dendrogram level when hierarchy tracking is
-// on. Labels recorded mid-run (the renumbered refined communities) are
-// already dense and must be kept verbatim — the next level indexes
-// super-vertices by exactly those ids; final-break labels (community
-// bounds, pending move labels) are arbitrary and get densified.
-func (ws *workspace) recordLevel(labels []uint32, alreadyDense bool) {
+// on. Labels recorded mid-run (the renumbered refined communities, dense
+// in [0, k)) are kept verbatim — the next level indexes super-vertices
+// by exactly those ids. Final-break labels (community bounds, pending
+// move labels) are arbitrary: the caller passes k < 0, and they are
+// densified in first-appearance order.
+func (ws *workspace) recordLevel(labels []uint32, k int) {
 	if ws.hierarchy == nil {
 		return
 	}
 	memb := make([]uint32, len(labels))
-	var k int
-	if alreadyDense {
+	if k >= 0 {
 		copy(memb, labels)
-		max := uint32(0)
-		for _, c := range labels {
-			if c > max {
-				max = c
-			}
-		}
-		if len(labels) > 0 {
-			k = int(max) + 1
-		}
 	} else {
 		dense := make(map[uint32]uint32, 256)
 		for i, c := range labels {

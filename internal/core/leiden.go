@@ -40,23 +40,27 @@ func Leiden(g *graph.CSR, opt Options) *Result {
 // when configured, and returns the densified result.
 func (ws *workspace) leiden(g *graph.CSR) *Result {
 	start := now()
-	runLeiden(g, ws)
+	nComms := runLeiden(g, ws)
 	if ws.opt.FinalRefine {
 		// Final refinement moves individual vertices and can disconnect a
 		// community the same way the move phase can; re-split afterwards.
 		ws.finalRefine(g)
 		ws.splitConnected(g, ws.top)
+		nComms = ws.renumber(ws.top, ws.n0)
 	}
-	return finishResult(g, ws, time.Since(start))
+	return finishResult(g, ws, nComms, time.Since(start))
 }
 
-func runLeiden(g *graph.CSR, ws *workspace) {
+// runLeiden runs the passes and returns the number of communities; the
+// top-level labels it leaves are dense in [0, that number).
+func runLeiden(g *graph.CSR, ws *workspace) int {
 	opt := ws.opt
 	cur := g
+	arcs := g.NumArcs()
 	tau := opt.Tolerance
 	haveInit := false
 	if ws.warm != nil {
-		copy(ws.initC[:ws.n0], ws.warm) //gvevet:exclusive single-threaded run setup: no workers are active yet
+		copy(ws.initC[:ws.n0], ws.warm)
 		haveInit = true
 		ws.warm = nil
 	}
@@ -65,17 +69,17 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		var ps PassStats
 		n := cur.NumVertices()
 		ps.Vertices = n
-		ps.Arcs = cur.NumArcs()
+		ps.Arcs = arcs
 		psp := ws.beginPass("leiden", pass, n, ps.Arcs)
 
 		t0 := now()
 		var init []uint32
 		if haveInit {
-			init = ws.initC[:n] //gvevet:exclusive pass boundary: initC was last stored in the previous pass's moveLabels, behind two pool barriers
+			init = ws.initC[:n]
 		}
 		if !ws.startPass(cur, pass, init) {
 			ws.endPass("leiden", pass, &ps, psp)
-			return
+			return n // pass 0 on a graph without edges: top is the identity
 		}
 		ps.Other += time.Since(t0)
 		var coloring *color.Coloring
@@ -115,46 +119,32 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 
 		if li <= 1 && moves == 0 {
 			// Globally converged (Algorithm 1 line 8): the flat result is
-			// the local-moving partition of this pass — which, like any
-			// move partition, may hold internally-disconnected communities;
-			// split those into their components before recording.
-			t0 = now()
-			ws.splitConnected(cur, ws.bounds[:n])
-			ps.Split = time.Since(t0)
-			t0 = now()
-			ws.recordLevel(ws.bounds[:n], false)
-			ws.lookupDendrogram(ws.bounds[:n])
-			ps.Other += time.Since(t0)
+			// the local-moving partition of this pass.
+			nComms := ws.closeOn(cur, ws.bounds[:n], &ps)
 			ws.endPass("leiden", pass, &ps, psp)
-			return
+			return nComms
 		}
 
 		t0 = now()
-		comm := ws.comm[:n]
-		nComms := ws.renumber(comm, n)
+		nComms := ws.renumberRefined(n)
 		ps.Communities = nComms
+		ps.Other += time.Since(t0)
 		if float64(nComms)/float64(n) > opt.AggregationTolerance {
 			// Low shrink (line 10): aggregating buys almost nothing;
-			// stop with the move partition, which subsumes the refined one
-			// (split first — move partitions may be disconnected).
-			ps.Other += time.Since(t0)
-			t0 = now()
-			ws.splitConnected(cur, ws.bounds[:n])
-			ps.Split = time.Since(t0)
-			t0 = now()
-			ws.recordLevel(ws.bounds[:n], false)
-			ws.lookupDendrogram(ws.bounds[:n])
-			ps.Other += time.Since(t0)
+			// stop with the move partition, which subsumes the refined one.
+			nComms = ws.closeOn(cur, ws.bounds[:n], &ps)
 			ws.endPass("leiden", pass, &ps, psp)
-			return
+			return nComms
 		}
-		ws.recordLevel(comm, true)
+		t0 = now()
+		comm := ws.comm[:n]
+		ws.recordLevel(comm, nComms)
 		ws.lookupDendrogram(comm) // line 12: C ← C'[C]
 		ps.Other += time.Since(t0)
 
 		t0 = now()
 		sp = opt.Tracer.Begin("aggregate", 0)
-		next, occ := ws.aggregate(cur, nComms)
+		next, nextArcs, occ := ws.aggregate(cur, nComms)
 		ws.sizes.rollup(opt, comm, nComms)
 		sp.End()
 		ps.AggOccupancy = occ
@@ -171,33 +161,50 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 
 		t0 = now()
 		if opt.Labels == LabelMove {
-			ws.moveLabels(n) // line 14: map super-vertices to move labels
+			ws.moveLabels(n, nComms) // line 14: map super-vertices to move labels
 			haveInit = true
 		} else {
 			haveInit = false
 		}
-		cur = next
+		cur, arcs = next, nextArcs
 		tau /= opt.ToleranceDrop // line 15: threshold scaling
 		ps.Other += time.Since(t0)
 		ws.endPass("leiden", pass, &ps, psp)
 	}
+	if !haveInit {
+		// The last aggregation's lookup left top dense over its communities.
+		return cur.NumVertices()
+	}
 	// MaxPasses exhausted after an aggregation: apply the pending
 	// move-based grouping of the last level (Algorithm 1 line 16 uses
 	// the mapped C').
-	if haveInit {
-		ws.splitConnected(cur, ws.initC[:cur.NumVertices()]) //gvevet:exclusive pass boundary: initC's stores in moveLabels finished behind the pass's pool barriers
-		ws.recordLevel(ws.initC[:cur.NumVertices()], false)  //gvevet:exclusive pass boundary: initC's stores in moveLabels finished behind the pass's pool barriers
-		ws.lookupDendrogram(ws.initC[:cur.NumVertices()])    //gvevet:exclusive pass boundary: initC's stores in moveLabels finished behind the pass's pool barriers
-	}
+	return ws.closeOn(cur, ws.initC[:cur.NumVertices()], &PassStats{})
 }
 
-// finishResult densifies the top-level labels and computes the final
-// modularity and quality from them, with no label map: one sweep of
-// quality.Accumulate serves both.
-func finishResult(g *graph.CSR, ws *workspace, elapsed time.Duration) *Result {
-	// Record the per-pass stats collected in ws, then renumber the
-	// top-level membership to dense community ids.
-	nComms := ws.renumber(ws.top, ws.n0)
+// closeOn ends the run on labels, the last level's flat partition —
+// the community bounds, or the pending move labels, both below the
+// level's vertex count. Like any move partition it may hold internally
+// disconnected communities, so it splits those into their components,
+// then records the level, renumbers the labels and applies them to the
+// dendrogram. It returns the number of communities, which the top-level
+// labels now hold densely in ascending label order, as renumbering them
+// would. ps gets the split and the rest as Split and Other.
+func (ws *workspace) closeOn(g *graph.CSR, labels []uint32, ps *PassStats) int {
+	t0 := now()
+	ws.splitConnected(g, labels)
+	ps.Split = time.Since(t0)
+	t0 = now()
+	ws.recordLevel(labels, -1)
+	nComms := ws.renumber(labels, len(labels))
+	ws.lookupDendrogram(labels)
+	ps.Other += time.Since(t0)
+	return nComms
+}
+
+// finishResult computes the final modularity and quality from the
+// top-level labels, dense in [0, nComms), with no label map: one sweep
+// of quality.Accumulate serves both.
+func finishResult(g *graph.CSR, ws *workspace, nComms int, elapsed time.Duration) *Result {
 	ws.stats.Total = elapsed
 	sums := quality.Accumulate(g, ws.top, nComms)
 	res := &Result{

@@ -38,19 +38,20 @@ func (ws *workspace) louvain(g *graph.CSR) *Result {
 	if ws.opt.FinalRefine {
 		ws.finalRefine(g)
 	}
-	return finishResult(g, ws, time.Since(start))
+	return finishResult(g, ws, ws.renumber(ws.top, ws.n0), time.Since(start))
 }
 
 func runLouvain(g *graph.CSR, ws *workspace) {
 	opt := ws.opt
 	cur := g
+	arcs := g.NumArcs()
 	tau := opt.Tolerance
 	opt.Pool.Iota(ws.top[:ws.n0], opt.Threads)
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		var ps PassStats
 		n := cur.NumVertices()
 		ps.Vertices = n
-		ps.Arcs = cur.NumArcs()
+		ps.Arcs = arcs
 		psp := ws.beginPass("louvain", pass, n, ps.Arcs)
 
 		t0 := now()
@@ -101,7 +102,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 
 		t0 = now()
 		sp = opt.Tracer.Begin("aggregate", 0)
-		next, occ := ws.aggregate(cur, nComms)
+		next, nextArcs, occ := ws.aggregate(cur, nComms)
 		ws.sizes.rollup(opt, comm, nComms)
 		sp.End()
 		ps.AggOccupancy = occ
@@ -114,7 +115,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 				Refined: comm, Communities: nComms, Aggregated: next,
 			})
 		}
-		cur = next
+		cur, arcs = next, nextArcs
 		tau /= opt.ToleranceDrop
 		ws.endPass("louvain", pass, &ps, psp)
 	}

@@ -36,7 +36,6 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 		ws.zeroMC()
 		sp := ws.opt.Tracer.Begin("move.iter", 0)
 		ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
-			h := ws.tables[tid]
 			f := &ws.flats[tid]
 			var local, realized float64
 			var scanned, pruned, flat, moves int64
@@ -55,7 +54,7 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 					dq, got = ws.moveVertexFlat(g, f, comm, u)
 					flat++
 				} else {
-					dq, got = ws.moveVertex(g, h, comm, u)
+					dq, got = ws.moveVertex(g, ws.table(tid, n), comm, u)
 				}
 				if dq > 0 {
 					moves++

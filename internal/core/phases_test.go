@@ -121,7 +121,7 @@ func TestAggregatePreservesWeightAndModularity(t *testing.T) {
 	if nComms >= n {
 		t.Fatal("no shrink — test premise broken")
 	}
-	super, _ := ws.aggregate(g, nComms)
+	super, _, _ := ws.aggregate(g, nComms)
 
 	if super.NumVertices() != nComms {
 		t.Fatalf("super |V| = %d, want %d", super.NumVertices(), nComms)
@@ -159,7 +159,7 @@ func TestAggregateSelfLoopsCarryInternalWeight(t *testing.T) {
 	g := b.Build()
 	ws := setupPass(g, testOpts(1))
 	copy(ws.comm[:6], []uint32{0, 0, 0, 1, 1, 1})
-	super, _ := ws.aggregate(g, 2)
+	super, _, _ := ws.aggregate(g, 2)
 	// Each triangle has internal arc weight 6 (3 edges × 2 arcs).
 	if got := super.ArcWeight(0, 0); got != 6 {
 		t.Fatalf("super self-loop = %v, want 6", got)
@@ -204,7 +204,8 @@ func TestMoveLabelsGroupRefinedCommunities(t *testing.T) {
 	ws := newWorkspace(gen.Path(4), testOpts(1).normalize())
 	copy(ws.bounds[:4], []uint32{1, 1, 3, 3}) // raw move labels (vertex ids)
 	copy(ws.comm[:4], []uint32{0, 1, 2, 3})   // refined, renumbered
-	ws.moveLabels(4)
+	ws.members(4, 4)
+	ws.moveLabels(4, 4)
 	if ws.initC[0] != ws.initC[1] || ws.initC[2] != ws.initC[3] {
 		t.Fatalf("move labels failed to group: %v", ws.initC[:4])
 	}
@@ -220,7 +221,7 @@ func TestScanCommunities(t *testing.T) {
 	g := graph.FromAdjacency([][]uint32{{1, 2, 3}, {0}, {0}, {0}})
 	ws := newWorkspace(g, testOpts(1).normalize())
 	copy(ws.comm[:4], []uint32{0, 1, 1, 2})
-	h := ws.tables[0]
+	h := ws.table(0, 4)
 	h.Clear()
 	scanCommunities(h, g, ws.comm[:4], 0, false)
 	if h.Get(1) != 2 || h.Get(2) != 1 {

@@ -28,7 +28,6 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 	ws.zeroMoved()
 	flat := greedy && !ws.opt.DisableFlatScan
 	ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
-		h := ws.tables[tid]
 		f := &ws.flats[tid]
 		rng := ws.rngs[tid]
 		var local int64
@@ -44,6 +43,7 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 			if flat && g.Degree(u) <= hashtable.FlatCap {
 				target, ok = ws.bestBoundedFlat(g, f, bounds, comm, c, u, ki)
 			} else {
+				h := ws.table(tid, n)
 				h.Clear()
 				scanBounded(h, g, bounds, comm, u)
 				if greedy {

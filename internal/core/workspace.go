@@ -9,50 +9,55 @@ import (
 	"gveleiden/internal/prng"
 )
 
-// arena holds the preallocated storage for one aggregated graph. Two
-// arenas ping-pong across passes: pass p reads the graph in one arena
-// and writes the super-vertex graph into the other. Everything is sized
-// once for the input graph (the largest level), so no per-pass
-// allocation happens — the paper's preallocated-CSR optimization, which
-// also keeps Go GC pressure flat on big graphs.
+// arena holds the storage for one aggregated graph. Two arenas
+// ping-pong across passes: pass p reads the graph in one arena and
+// writes the super-vertex graph into the other. An arena's buffers are
+// allocated at its first aggregation, sized for the graph that
+// aggregation writes (the paper's preallocated CSR); levels only shrink
+// from then on, so later passes reslice them.
 type arena struct {
 	offsets []uint32  // super-vertex CSR offsets (holey capacity bounds)
 	counts  []uint32  // per-super-vertex arc counts
 	edges   []uint32  // arc targets
 	weights []float32 // arc weights
-	commOff []uint32  // community-vertices CSR offsets (G'_C')
-	commVtx []uint32  // community-vertices CSR data
 }
 
-func newArena(n int, arcs int64) arena {
-	return arena{
-		offsets: make([]uint32, n+1),
-		counts:  make([]uint32, n+1),
-		edges:   make([]uint32, arcs),
-		weights: make([]float32, arcs),
-		commOff: make([]uint32, n+2),
-		commVtx: make([]uint32, n),
+// reserve returns s resliced to length n, reallocating only when its
+// capacity falls short: a buffer sized by the level that first needs it
+// serves every smaller level after it.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
-// workspace carries every buffer a run needs, allocated once up front.
+// workspace carries the buffers of a run. The ones indexed by input
+// vertex are allocated up front; the dense tables, the member CSR and
+// the arenas are sized by the level that first needs them.
 type workspace struct {
-	opt     Options
-	n0      int     // input vertex count
-	m       float64 // half the total edge weight (constant across passes)
-	tables  []*hashtable.Accumulator
-	flats   []hashtable.Flat // per-thread flat scan accumulators (low-degree fast path)
-	rngs    []*prng.Xorshift32
-	top     []uint32 // C: top-level membership over input vertices
-	k       []float64
-	sigma   *parallel.Float64s
-	sizes   *sizeState // CPM's vertex and community sizes; nil under modularity
-	comm    []uint32   // C'
-	bounds  []uint32   // C'_B
-	initC   []uint32   // initial communities of the next pass's vertices
-	lbl     []uint32   // move-community representative labels
-	scratch []uint32   // renumbering / existence buffer
-	cursor  []uint32   // aggregation placement cursors
+	opt    Options
+	n0     int                      // input vertex count
+	m      float64                  // half the total edge weight (constant across passes)
+	tables []*hashtable.Accumulator // per-thread dense tables, allocated on first need (see table)
+	flats  []hashtable.Flat         // per-thread flat scan accumulators (low-degree fast path)
+	rngs   []*prng.Xorshift32
+	top    []uint32 // C: top-level membership over input vertices
+	k      []float64
+	sigma  *parallel.Float64s
+	sizes  *sizeState // CPM's vertex and community sizes; nil under modularity
+	comm   []uint32   // C'
+	bounds []uint32   // C'_B
+	initC  []uint32   // initial communities of the next pass's vertices
+	// scratch serves renumbering's existence flags, aggregation's
+	// placement cursors and moveLabels' per-bound minima, which are
+	// never live at the same time.
+	scratch []uint32
+	// commOff/commVtx is the member CSR G'_C' of the last aggregation:
+	// the vertices of each refined community, which moveLabels reads
+	// after aggregation has used it.
+	commOff []uint32
+	commVtx []uint32
 	flags   *parallel.Flags
 	dq      []parallel.Padded[float64] // per-thread ΔQ partial sums (decision-time gains)
 	rq      []parallel.Padded[float64] // per-thread realized-ΔQ partial sums (asynchronous moves)
@@ -79,12 +84,11 @@ type workspace struct {
 
 func newWorkspace(g *graph.CSR, opt Options) *workspace {
 	n := g.NumVertices()
-	arcs := g.NumArcs()
 	t := opt.Threads
 	ws := &workspace{
 		opt:     opt,
 		n0:      n,
-		tables:  hashtable.PerThread(n, t),
+		tables:  make([]*hashtable.Accumulator, t),
 		flats:   make([]hashtable.Flat, t),
 		rngs:    prng.Streams(opt.Seed, t),
 		top:     make([]uint32, n),
@@ -93,9 +97,7 @@ func newWorkspace(g *graph.CSR, opt Options) *workspace {
 		comm:    make([]uint32, n),
 		bounds:  make([]uint32, n),
 		initC:   make([]uint32, n),
-		lbl:     make([]uint32, n),
 		scratch: make([]uint32, n+1),
-		cursor:  make([]uint32, n+1),
 		flags:   parallel.NewFlags(n),
 		dq:      make([]parallel.Padded[float64], t),
 		rq:      make([]parallel.Padded[float64], t),
@@ -107,9 +109,24 @@ func newWorkspace(g *graph.CSR, opt Options) *workspace {
 	if opt.Objective == ObjectiveCPM {
 		ws.sizes = newSizeState(n)
 	}
-	ws.arenas[0] = newArena(n, arcs)
-	ws.arenas[1] = newArena(n, arcs)
 	return ws
+}
+
+// table returns thread tid's dense accumulator for keys in [0, n). A
+// thread allocates it at its first scan of a vertex or community past
+// hashtable.FlatCap, sized to that level's key range, so a run whose
+// large levels all take the flat path never holds the O(T·N) tables;
+// later levels only shrink, so Resize reallocates only for the final
+// refinement's sweep over the input graph.
+func (ws *workspace) table(tid, n int) *hashtable.Accumulator {
+	h := ws.tables[tid]
+	if h == nil {
+		h = hashtable.New(n)
+		ws.tables[tid] = h
+		return h
+	}
+	h.Resize(n)
+	return h
 }
 
 // commLoad / commStore access the membership array atomically: the
@@ -132,15 +149,16 @@ func (ws *workspace) vertexWeights(g *graph.CSR, k []float64) {
 	})
 }
 
-// startPass computes the pass's vertex weights K' and, on pass 0, the
-// total weight m and the unit vertex sizes, then starts the pass's
-// communities from init (nil: singletons). It reports false for a graph
-// without edges, where every vertex stays its own community.
+// startPass starts a pass's communities from init (nil: singletons).
+// On pass 0 it first computes the vertex weights K', the total weight m
+// and the unit vertex sizes; later passes find K' already written by the
+// aggregation that built their graph (see aggregate). It reports false
+// for a graph without edges, where every vertex stays its own community.
 func (ws *workspace) startPass(g *graph.CSR, pass int, init []uint32) bool {
 	n := g.NumVertices()
-	k := ws.k[:n]
-	ws.vertexWeights(g, k)
 	if pass == 0 {
+		k := ws.k[:n]
+		ws.vertexWeights(g, k)
 		ws.m = ws.opt.Pool.SumFloat64(k, ws.opt.Threads) / 2
 		if ws.m == 0 {
 			return false
@@ -318,7 +336,8 @@ func (ws *workspace) splitConnected(g *graph.CSR, labels []uint32) int {
 
 // renumber densifies the labels of comm (values < n) in place and
 // returns the number of distinct labels, using the existence-flag +
-// exclusive-scan technique (Algorithm 1 line 11).
+// exclusive-scan technique (Algorithm 1 line 11). Dense ids follow
+// ascending label order.
 func (ws *workspace) renumber(comm []uint32, n int) int {
 	ex := ws.scratch[:n]
 	ws.opt.Pool.FillUint32(ex, 0, ws.opt.Threads)
@@ -336,6 +355,54 @@ func (ws *workspace) renumber(comm []uint32, n int) int {
 	return int(total)
 }
 
+// renumberRefined densifies the refined labels ws.comm[:n] and returns
+// their count, with the ids renumber would give. Refinement names every
+// non-empty sub-community after a vertex it still holds: every vertex
+// starts alone, only an isolated one leaves, and nothing joins an
+// emptied sub-community (see refinePhase). So label c exists exactly
+// when comm[c] == c, and one plain pass marks the labels where renumber
+// needs a fill and an atomic scatter. After the scan over n+1 entries,
+// c is an anchor exactly when ex[c+1]−ex[c] == 1, which the relabel
+// checks beside the ex[c] it loads. It writes into initC, dead between
+// startPass and moveLabels, and swaps the two buffers when every label
+// passed, so a labeling that breaks the argument (zero- or
+// negative-weight arcs, or a weight absorbed in Σ', can) still has its
+// labels for the fallback to renumber.
+func (ws *workspace) renumberRefined(n int) int {
+	pool, threads, grain := ws.opt.Pool, ws.opt.Threads, ws.opt.Grain
+	comm := ws.comm[:n]
+	ex := ws.scratch[:n+1]
+	pool.For(n, threads, grain, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			var anchor uint32
+			if comm[c] == uint32(c) {
+				anchor = 1
+			}
+			ex[c] = anchor
+		}
+	})
+	ex[n] = 0
+	total := pool.ExclusiveScanUint32(ex, threads)
+	out := ws.initC[:n]
+	var stray atomic.Bool
+	pool.For(n, threads, grain, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			c := comm[i]
+			d := ex[c]
+			if ex[c+1]-d != 1 {
+				stray.Store(true)
+				return
+			}
+			out[i] = d
+		}
+	})
+	if stray.Load() {
+		return ws.renumber(comm, n)
+	}
+	ws.comm, ws.initC = ws.initC, ws.comm
+	return int(total)
+}
+
 // lookupDendrogram applies one level of the dendrogram: top[v] becomes
 // level[top[v]] (Algorithm 1 lines 12 and 16).
 func (ws *workspace) lookupDendrogram(level []uint32) {
@@ -346,26 +413,29 @@ func (ws *workspace) lookupDendrogram(level []uint32) {
 	})
 }
 
-// moveLabels prepares the next pass's initial community of each
-// super-vertex from the move-phase partition (move-based labels,
-// Algorithm 1 line 14): all members of a refined community share one
-// community bound, whose representative is the minimum refined id it
-// contains.
-func (ws *workspace) moveLabels(n int) {
-	comm := ws.comm[:n]     // refined, renumbered
+// moveLabels prepares the initial community of each of the next pass's
+// k super-vertices from the move-phase partition of this pass's n
+// vertices (move-based labels, Algorithm 1 line 14): all members of a
+// refined community share one community bound, whose representative is
+// the minimum refined id it contains. Each refined community takes its
+// bound from one member in aggregation's member CSR, so the pass costs
+// k CAS-mins and k stores rather than one of each per vertex.
+func (ws *workspace) moveLabels(n, k int) {
+	pool, threads, grain := ws.opt.Pool, ws.opt.Threads, ws.opt.Grain
 	bounds := ws.bounds[:n] // move-phase labels (raw vertex ids)
-	lbl := ws.lbl[:n]
-	ws.opt.Pool.FillUint32(lbl, ^uint32(0), ws.opt.Threads)
-	ws.opt.Pool.For(n, ws.opt.Threads, ws.opt.Grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			atomicMinUint32(&lbl[bounds[i]], comm[i])
+	first := ws.commOff[:k]
+	members := ws.commVtx[:n]
+	low := ws.scratch[:n] // per-bound minimum refined id
+	pool.FillUint32(low, ^uint32(0), threads)
+	pool.For(k, threads, grain, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			atomicMinUint32(&low[bounds[members[first[c]]]], uint32(c))
 		}
 	})
-	ws.opt.Pool.For(n, ws.opt.Threads, ws.opt.Grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			// All members of a refined community share one bound, so the
-			// stores agree; they are atomic to stay race-detector clean.
-			atomic.StoreUint32(&ws.initC[comm[i]], lbl[bounds[i]])
+	initC := ws.initC[:k]
+	pool.For(k, threads, grain, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			initC[c] = low[bounds[members[first[c]]]]
 		}
 	})
 }

@@ -6,9 +6,13 @@
 // "Collision-free" means the table is a dense array directly indexed by
 // community id — no probing, no hashing, O(1) insert — paired with a
 // touched-key list so that clearing costs O(touched) rather than O(N).
-// One table is allocated per worker thread, each with its own backing
-// arrays, so the tables are well separated in memory and never share
-// cache lines (the paper's O(TN) space term).
+// Each worker thread owns its table, with its own backing arrays, so
+// the tables are well separated in memory and never share cache lines.
+// The paper allocates them up front for the input graph (its O(TN)
+// space term); internal/core allocates a thread's table at the first
+// level where that thread scans a vertex or community past FlatCap,
+// sized to that level's key range, so runs whose large levels take the
+// flat path (road, k-mer) hold much smaller tables, or none.
 package hashtable
 
 // Accumulator is a dense keyed float64 accumulator over keys in [0, n).
@@ -17,7 +21,7 @@ package hashtable
 // Clearing is O(touched) via a generation counter: a slot's value is
 // valid only when its stamp equals the current generation, so Clear is
 // a single increment. Accumulator is not safe for concurrent use; use
-// one per thread (see PerThread).
+// one per thread.
 type Accumulator struct {
 	vals  []float64
 	stamp []uint32
@@ -39,9 +43,8 @@ func New(n int) *Accumulator {
 func (a *Accumulator) Cap() int { return len(a.vals) }
 
 // Resize ensures the accumulator accepts keys in [0, n), keeping the
-// existing allocation when it is already large enough (tables are sized
-// once for the pass-0 graph and reused as the super-vertex graph
-// shrinks, per the paper's preallocation strategy).
+// existing allocation when it is already large enough (a table sized
+// for one level is reused as the super-vertex graph shrinks).
 func (a *Accumulator) Resize(n int) {
 	if len(a.vals) >= n {
 		return
@@ -93,14 +96,4 @@ func (a *Accumulator) Clear() {
 		}
 		a.gen = 1
 	}
-}
-
-// PerThread returns t accumulators over [0, n), one per worker thread.
-// Each has independent backing arrays, so threads never contend.
-func PerThread(n, t int) []*Accumulator {
-	out := make([]*Accumulator, t)
-	for i := range out {
-		out[i] = New(n)
-	}
-	return out
 }

@@ -104,17 +104,6 @@ func TestResize(t *testing.T) {
 	}
 }
 
-func TestPerThread(t *testing.T) {
-	ts := PerThread(8, 3)
-	if len(ts) != 3 {
-		t.Fatalf("got %d tables", len(ts))
-	}
-	ts[0].Add(1, 5)
-	if ts[1].Has(1) || ts[2].Has(1) {
-		t.Fatal("per-thread tables share state")
-	}
-}
-
 // TestMatchesMapReference is the property test: an accumulator behaves
 // exactly like a map[uint32]float64 under any Add/Clear sequence.
 func TestMatchesMapReference(t *testing.T) {

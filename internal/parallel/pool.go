@@ -42,6 +42,9 @@ type Pool struct {
 
 	pending atomic.Int32
 	ranges  []paddedRange
+	// fault holds the first panic value a participant raised in the
+	// current region, re-raised on the submitter once the region drains.
+	fault atomic.Pointer[any]
 
 	// Region state, published to workers via the wake-channel sends.
 	body     func(lo, hi, tid int)
@@ -163,7 +166,7 @@ func (p *Pool) workerLoop(tid int, wake chan struct{}) {
 		case <-p.stop:
 			return
 		case <-wake:
-			p.work(tid)
+			p.guard(tid)
 			if p.pending.Add(-1) == 0 {
 				p.doneCh <- struct{}{}
 			}
@@ -180,9 +183,10 @@ func (p *Pool) workerLoop(tid int, wake chan struct{}) {
 // DefaultGrain. If the pool is busy (concurrent or nested region) or
 // closed, the region runs in spawn mode with identical semantics.
 //
-// A panic in body on the calling goroutine reaches the caller once
-// every worker has left the region; a panic on a worker goroutine
-// ends the process.
+// A panic in body, on the calling goroutine or on a worker, reaches the
+// caller once every participant has left the region; when several
+// participants panic, the first value recorded is raised. The pool stays
+// usable for the next region.
 func (p *Pool) For(n, threads, grain int, body func(lo, hi, tid int)) {
 	if n <= 0 {
 		return
@@ -213,10 +217,10 @@ func (p *Pool) For(n, threads, grain int, body func(lo, hi, tid int)) {
 
 // forLocked runs one region on the persistent workers; the caller holds
 // p.mu, which forLocked releases when the region completes. A panic in
-// the submitter's own share (tid 0) propagates only after the region
-// has drained: releasing p.mu while workers still run the old body
-// would let them claim the next region's ranges and count themselves
-// out of its pending total.
+// any participant's share propagates only after the region has drained:
+// releasing p.mu while workers still run the old body would let them
+// claim the next region's ranges and count themselves out of its
+// pending total.
 func (p *Pool) forLocked(n, threads, grain int, body func(lo, hi, tid int)) {
 	defer p.mu.Unlock()
 	if threads > p.width {
@@ -236,19 +240,36 @@ func (p *Pool) forLocked(n, threads, grain int, body func(lo, hi, tid int)) {
 		p.wake[w] <- struct{}{}
 	}
 	defer p.drain()
-	p.work(0)
+	p.guard(0)
+}
+
+// guard runs participant tid's share of the current region, recording
+// a panic in body as the region's fault instead of unwinding: the
+// participant still counts itself out of the region, and a worker
+// goroutine survives to serve the next one.
+func (p *Pool) guard(tid int) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.fault.CompareAndSwap(nil, &v)
+		}
+	}()
+	p.work(tid)
 }
 
 // drain retires the submitter from the current region and waits until
 // every worker has left it. Once the submitter stops claiming, the
 // workers still finish: each drains its own range, steals what it can
-// and leaves when a sweep finds nothing.
+// and leaves when a sweep finds nothing. Then it re-raises the first
+// panic a participant recorded.
 func (p *Pool) drain() {
 	if p.pending.Add(-1) == 0 {
 		p.doneCh <- struct{}{}
 	}
 	<-p.doneCh
 	p.body = nil
+	if v := p.fault.Swap(nil); v != nil {
+		panic(*v)
+	}
 }
 
 // work participates in the current region as tid: drain the own range
@@ -394,14 +415,21 @@ func (p *Pool) Iota(a []uint32, threads int) {
 // implementation): `threads` fresh goroutines race a single shared
 // atomic cursor in grain-sized chunks. It serves oversized iteration
 // spaces, regions submitted while the pool is busy, and the
-// BenchmarkForSpawn baseline.
+// BenchmarkForSpawn baseline. A panic in body on any of them is raised
+// on the caller once all have finished, as in a pooled region.
 func forSpawn(n, threads, grain int, body func(lo, hi, tid int)) {
 	var cursor atomic.Int64
+	var fault atomic.Pointer[any]
 	var wg sync.WaitGroup
 	wg.Add(threads)
 	for t := 0; t < threads; t++ {
 		go func(tid int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					fault.CompareAndSwap(nil, &v)
+				}
+			}()
 			for {
 				lo := int(cursor.Add(int64(grain))) - grain
 				if lo >= n {
@@ -416,4 +444,7 @@ func forSpawn(n, threads, grain int, body func(lo, hi, tid int)) {
 		}(t)
 	}
 	wg.Wait()
+	if v := fault.Load(); v != nil {
+		panic(*v)
+	}
 }

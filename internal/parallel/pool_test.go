@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,6 +208,60 @@ func TestPoolSubmitterPanicDrainsRegion(t *testing.T) {
 		if got := hits[i].Load(); got != 1 {
 			t.Fatalf("region after the panic: index %d hit %d times", i, got)
 		}
+	}
+}
+
+// TestPoolWorkerPanicReachesCaller panics in region bodies on worker
+// participants only (tid ≥ 1), on a persistent pool at 2 and 7 threads
+// and on a closed pool, where every participant is a spawned goroutine.
+// The panic must reach the caller instead of ending the process, and the
+// next region on the same pool must cover every index exactly once.
+func TestPoolWorkerPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		threads int
+		closed  bool
+	}{{"persistent-2", 2, false}, {"persistent-7", 7, false}, {"closed-2", 2, true}, {"closed-7", 7, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(tc.threads)
+			defer p.Close()
+			if tc.closed {
+				p.Close()
+			}
+			const n = 256
+			for round := 0; round < 3; round++ {
+				started := make(chan struct{})
+				var once sync.Once
+				func() {
+					defer func() {
+						v := recover()
+						if s, ok := v.(string); !ok || !strings.HasPrefix(s, "worker panic") {
+							t.Fatalf("round %d: recovered %v, want a worker's panic", round, v)
+						}
+					}()
+					p.For(n, tc.threads, 1, func(lo, hi, tid int) {
+						if tid == 0 {
+							<-started // let a worker reach its panic first
+							return
+						}
+						once.Do(func() { close(started) })
+						panic(fmt.Sprintf("worker panic on tid %d", tid))
+					})
+					t.Fatalf("round %d: the region returned without its workers' panic", round)
+				}()
+				hits := make([]atomic.Int32, n)
+				p.For(n, tc.threads, 1, func(lo, hi, _ int) {
+					for i := lo; i < hi; i++ {
+						hits[i].Add(1)
+					}
+				})
+				for i := range hits {
+					if got := hits[i].Load(); got != 1 {
+						t.Fatalf("round %d: region after the panic hit index %d %d times", round, i, got)
+					}
+				}
+			}
+		})
 	}
 }
 

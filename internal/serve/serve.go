@@ -392,10 +392,10 @@ func (r recovered) Error() string { return fmt.Sprintf("panic: %v", r.value) }
 // the snapshot that would replace prev, timing each stage into took. It
 // returns the run's result (nil when the run panicked) and either the
 // snapshot or the reason there is none: the gate's error, or a
-// recovered panic. Panics raised on this goroutine are recovered,
-// including in its own share of a parallel region, which the pool
-// drains before the panic reaches here; one raised on a pool worker
-// goroutine still ends the process.
+// recovered panic. Panics raised by the run are recovered, including
+// those raised on pool worker goroutines: the pool re-raises a region's
+// first panic on this goroutine once every participant has left the
+// region.
 func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Snapshot, took *[numStages]time.Duration) (res *core.Result, next *Snapshot, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -409,7 +409,7 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 	took[stageRun] = time.Since(start)
 	s.lat["recompute_run"].ObserveDuration(took[stageRun])
 
-	// The run's workspace is garbage now (71 MB on a 5×10⁵-vertex k-mer
+	// The run's workspace is garbage now (45 MB on a 5×10⁵-vertex k-mer
 	// graph). Collect it before the gate and the index allocate their
 	// scratch (23 MB there), so they reuse its pages: a swap's heap then
 	// peaks at the run's working set. Left to the collector's pacing,

@@ -700,10 +700,12 @@ func TestServeRecomputePanicIsRejection(t *testing.T) {
 }
 
 // regionPanicObserver, while armed, runs a region on the run's pool at
-// every pass boundary whose share on the submitting goroutine (tid 0)
-// panics while the other worker is still busy in its own.
+// every pass boundary whose share on participant tid panics while the
+// other participant is still busy in its own: tid 0 is the submitting
+// (recompute) goroutine, tid 1 a pool worker.
 type regionPanicObserver struct {
 	pool  *parallel.Pool
+	tid   int
 	armed atomic.Bool
 }
 
@@ -716,7 +718,7 @@ func (o *regionPanicObserver) OnPass(observe.PassEvent) {
 	started := make(chan struct{})
 	var once sync.Once
 	o.pool.For(64, 2, 1, func(lo, hi, tid int) {
-		if tid == 0 {
+		if tid == o.tid {
 			<-started
 			panic("injected region panic")
 		}
@@ -726,46 +728,54 @@ func (o *regionPanicObserver) OnPass(observe.PassEvent) {
 }
 
 // TestServeRegionPanicIsRejection panics inside a pooled parallel
-// region of the recompute run, on the recompute goroutine. The panic
-// must be a rejection that leaves the pool drained: the next run, in
-// deterministic mode, must publish exactly the membership a run on
-// another pool computes from the same graph, warm start and delta.
+// region of the recompute run, on the recompute goroutine and on a pool
+// worker. The panic must be a rejection that leaves the pool drained:
+// the next run, in deterministic mode, must publish exactly the
+// membership a run on another pool computes from the same graph, warm
+// start and delta.
 func TestServeRegionPanicIsRejection(t *testing.T) {
-	pool := parallel.NewPool(2)
-	t.Cleanup(pool.Close) // after the server's own cleanup
-	obs := &regionPanicObserver{pool: pool}
-	cfg := testConfig()
-	cfg.Options.Pool = pool
-	cfg.Options.Deterministic = true
-	cfg.Options.Observer = obs
-	s, c := startServer(t, cfg)
-	v1 := s.Snapshot()
-	obs.armed.Store(true)
+	for _, tc := range []struct {
+		name string
+		tid  int
+	}{{"submitter", 0}, {"worker", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := parallel.NewPool(2)
+			t.Cleanup(pool.Close) // after the server's own cleanup
+			obs := &regionPanicObserver{pool: pool, tid: tc.tid}
+			cfg := testConfig()
+			cfg.Options.Pool = pool
+			cfg.Options.Deterministic = true
+			cfg.Options.Observer = obs
+			s, c := startServer(t, cfg)
+			v1 := s.Snapshot()
+			obs.armed.Store(true)
 
-	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitRejections(t, s, 1)
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Version != 1 || st.PendingInsertions != 1 ||
-		!strings.HasPrefix(st.LastRejection, "panic: injected region panic") {
-		t.Fatalf("after the panic: %+v", st)
-	}
+			if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			waitRejections(t, s, 1)
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Version != 1 || st.PendingInsertions != 1 ||
+				!strings.HasPrefix(st.LastRejection, "panic: injected region panic") {
+				t.Fatalf("after the panic: %+v", st)
+			}
 
-	obs.armed.Store(false)
-	s.Kick()
-	waitVersion(t, c, 2)
-	v2 := s.Snapshot()
-	opt := cfg.Options
-	opt.Pool, opt.Observer = parallel.NewPool(2), nil
-	defer opt.Pool.Close()
-	want, _ := core.LeidenDynamicHierarchy(v2.Graph, v1.Result.Membership,
-		core.Delta{Insertions: []graph.Edge{{U: 0, V: 999, W: 1}}}, cfg.Mode, opt)
-	if !slices.Equal(v2.Result.Membership, want.Membership) {
-		t.Fatal("the run after the recovered panic published a different membership than a run on another pool")
+			obs.armed.Store(false)
+			s.Kick()
+			waitVersion(t, c, 2)
+			v2 := s.Snapshot()
+			opt := cfg.Options
+			opt.Pool, opt.Observer = parallel.NewPool(2), nil
+			defer opt.Pool.Close()
+			want, _ := core.LeidenDynamicHierarchy(v2.Graph, v1.Result.Membership,
+				core.Delta{Insertions: []graph.Edge{{U: 0, V: 999, W: 1}}}, cfg.Mode, opt)
+			if !slices.Equal(v2.Result.Membership, want.Membership) {
+				t.Fatal("the run after the recovered panic published a different membership than a run on another pool")
+			}
+		})
 	}
 }
 
