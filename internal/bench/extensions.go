@@ -11,7 +11,9 @@ import (
 
 // DynamicExperiment sweeps update-batch sizes and compares a full
 // static re-run against the naive-dynamic and dynamic-frontier
-// variants (the paper's future-work direction, DESIGN.md §Extensions).
+// variants (the paper's future-work direction, DESIGN.md §Extensions),
+// and against a dynamic-frontier run resumed from the static run's
+// dendrogram (core.LeidenDynamicFrom, the resident server's warm run).
 // Batch sizes are fractions of |E|; each batch is half insertions,
 // half deletions.
 func DynamicExperiment(cfg Config) []Table {
@@ -19,9 +21,24 @@ func DynamicExperiment(cfg Config) []Table {
 	g, _ := Load(d)
 	opt := core.DefaultOptions()
 	opt.Threads = cfg.Threads
-	prev := core.Leiden(g, opt)
+	prev, prevH := core.LeidenHierarchy(g, opt)
+	variants := []struct {
+		name string
+		run  func(gNew *graph.CSR, delta core.Delta) []uint32
+	}{
+		{core.DynamicNaive.String(), func(gNew *graph.CSR, delta core.Delta) []uint32 {
+			return core.LeidenDynamic(gNew, prev.Membership, delta, core.DynamicNaive, opt).Membership
+		}},
+		{core.DynamicFrontier.String(), func(gNew *graph.CSR, delta core.Delta) []uint32 {
+			return core.LeidenDynamic(gNew, prev.Membership, delta, core.DynamicFrontier, opt).Membership
+		}},
+		{"resumed-frontier", func(gNew *graph.CSR, delta core.Delta) []uint32 {
+			res, _ := core.LeidenDynamicFrom(gNew, prev.Membership, prevH, delta, core.DynamicFrontier, opt)
+			return res.Membership
+		}},
+	}
 
-	rows := make([][]string, 0, 8)
+	rows := make([][]string, 0, 12)
 	for _, frac := range []float64{0.0001, 0.001, 0.01, 0.1} {
 		m := int(float64(g.NumUndirectedEdges()) * frac / 2)
 		if m < 1 {
@@ -40,15 +57,13 @@ func DynamicExperiment(cfg Config) []Table {
 		})
 		qStatic := quality.Modularity(gNew, membStatic)
 
-		for _, mode := range []core.DynamicMode{core.DynamicNaive, core.DynamicFrontier} {
-			t, memb := Measure(cfg.Repeats, func() []uint32 {
-				return core.LeidenDynamic(gNew, prev.Membership, delta, mode, opt).Membership
-			})
+		for _, v := range variants {
+			t, memb := Measure(cfg.Repeats, func() []uint32 { return v.run(gNew, delta) })
 			q := quality.Modularity(gNew, memb)
 			ds := quality.CountDisconnected(gNew, memb, cfg.Threads)
 			rows = append(rows, []string{
 				fmt.Sprintf("%.2f%%", frac*100),
-				mode.String(),
+				v.name,
 				ms(t),
 				fmt.Sprintf("%.2fx", float64(tStatic)/float64(t)),
 				fmt.Sprintf("%+.4f", q-qStatic),

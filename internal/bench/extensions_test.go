@@ -26,7 +26,7 @@ func TestExtensionExperimentsProduceReports(t *testing.T) {
 func TestDynamicExperimentColumns(t *testing.T) {
 	defer ClearCache()
 	report := RenderAll(DynamicExperiment(tinyConfig()))
-	for _, want := range []string{"naive-dynamic", "dynamic-frontier", "speedup"} {
+	for _, want := range []string{"naive-dynamic", "dynamic-frontier", "resumed-frontier", "speedup"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("dynamic report missing %q:\n%s", want, report)
 		}

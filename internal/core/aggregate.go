@@ -42,7 +42,7 @@ func (ws *workspace) aggregate(g *graph.CSR, nComms int) (*graph.CSR, int64, flo
 	n := g.NumVertices()
 	pool, threads, grain := ws.opt.Pool, ws.opt.Threads, ws.opt.Grain
 	comm := ws.comm[:n]
-	commOff, commVtx := ws.members(n, nComms)
+	commOff, commVtx := ws.members(comm, nComms)
 	a := &ws.arenas[ws.cur]
 	ws.cur = 1 - ws.cur
 
@@ -118,30 +118,51 @@ func (ws *workspace) aggregate(g *graph.CSR, nComms int) (*graph.CSR, int64, flo
 }
 
 // members builds the community-vertices CSR G'_C' of comm's nComms
-// communities over g's n vertices (Algorithm 4 lines 3-6): counts per
-// community, a parallel exclusive scan, then an atomic scatter of vertex
-// ids, with the placement cursors in the scratch buffer. Community c's
-// vertices are commVtx[commOff[c]:commOff[c+1]].
-func (ws *workspace) members(n, nComms int) ([]uint32, []uint32) {
+// communities over its len(comm) vertices (Algorithm 4 lines 3-6):
+// counts per community, a parallel exclusive scan, then an atomic
+// scatter of vertex ids, with the placement cursors in the scratch
+// buffer. Community c's vertices are commVtx[commOff[c]:commOff[c+1]],
+// in no particular order. Both atomic passes take a run of consecutive
+// vertices with one label in a single add, since labels come in runs
+// wherever communities follow the vertex order (a resumed pass 0's
+// inherited units most of all), and a thread's run lands in
+// consecutive slots. Aggregation indexes the refined communities with
+// it, the connectivity split its labels (splitConnected) and a resumed
+// pass 0 its inherited units (inheritUnits).
+//
+//gvevet:exclusive read-only labels: every caller's writes to comm finished behind an earlier region barrier
+func (ws *workspace) members(comm []uint32, nComms int) ([]uint32, []uint32) {
 	pool, threads, grain := ws.opt.Pool, ws.opt.Threads, ws.opt.Grain
+	n := len(comm)
 	ws.commOff = reserve(ws.commOff, nComms+1)
 	ws.commVtx = reserve(ws.commVtx, n)
-	comm := ws.comm[:n]
 	commOff := ws.commOff
 	pool.FillUint32(commOff, 0, threads)
 	pool.For(n, threads, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddUint32(&commOff[comm[i]], 1)
+		for i := lo; i < hi; {
+			c, j := comm[i], i+1
+			for j < hi && comm[j] == c {
+				j++
+			}
+			atomic.AddUint32(&commOff[c], uint32(j-i))
+			i = j
 		}
 	})
 	pool.ExclusiveScanUint32(commOff, threads)
 	cursor := ws.scratch[:nComms]
-	copy(cursor, commOff[:nComms]) //gvevet:exclusive between regions: the counting adds and the scatter's cursor adds are separated by pool barriers
+	copy(cursor, commOff[:nComms]) // between regions: the counting adds and the scatter's cursor adds are separated by pool barriers
 	commVtx := ws.commVtx
 	pool.For(n, threads, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			p := atomic.AddUint32(&cursor[comm[i]], 1) - 1
-			commVtx[p] = uint32(i)
+		for i := lo; i < hi; {
+			c, j := comm[i], i+1
+			for j < hi && comm[j] == c {
+				j++
+			}
+			p := atomic.AddUint32(&cursor[c], uint32(j-i)) - uint32(j-i)
+			for ; i < j; i++ {
+				commVtx[p] = uint32(i)
+				p++
+			}
 		}
 	})
 	return commOff, commVtx

@@ -59,19 +59,48 @@ func (m DynamicMode) String() string {
 // Leiden: a valid dense partition with no internally-disconnected
 // communities.
 func LeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode, opt Options) *Result {
-	res, _ := runLeidenDynamic(g, prev, delta, mode, opt, false)
+	res, _ := runLeidenDynamic(g, prev, nil, delta, mode, opt, false)
 	return res
 }
 
 // LeidenDynamicHierarchy is LeidenDynamic additionally recording the
-// full dendrogram, exactly as LeidenHierarchy does for a cold run —
-// the resident server uses it so hierarchy drill-down stays available
-// across warm-started recomputes.
+// full dendrogram, exactly as LeidenHierarchy does for a cold run. It
+// is LeidenDynamicFrom without a previous dendrogram: pass 0 refines
+// every vertex from a singleton and the run rebuilds the dendrogram
+// from the input vertices up.
 func LeidenDynamicHierarchy(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode, opt Options) (*Result, *Hierarchy) {
-	return runLeidenDynamic(g, prev, delta, mode, opt, true)
+	return LeidenDynamicFrom(g, prev, nil, delta, mode, opt)
 }
 
-func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode, opt Options, hierarchy bool) (*Result, *Hierarchy) {
+// LeidenDynamicFrom is LeidenDynamicHierarchy resumed from the
+// dendrogram prevH of the run that computed prev; the resident server
+// passes each published snapshot's Hierarchy. Pass 0 runs the
+// warm-started move phase as LeidenDynamic does, then takes the
+// previous run's last-level super-vertices, prevH.Flatten(Depth()−1),
+// as its refined partition instead of refining every vertex from a
+// singleton (see inheritUnits), so aggregation collapses the graph
+// into about as many super-vertices as that level has, and the run
+// goes a few passes deep instead of rebuilding the dendrogram. Later
+// passes run exactly as in any other run.
+//
+// The returned dendrogram records the levels this run built: its
+// Level 0 partitions the input vertices into the inherited units, so it
+// is shallower than a cold run's. Result carries the same guarantees as
+// Leiden's.
+//
+// A resumed run only patches the partition it inherits, where a run
+// that refines pass 0 from singletons re-optimizes it, so a chain of
+// resumed runs, each inheriting the last one's coarser units, drifts
+// below a chain of warm runs. The next run after a resumed one
+// therefore refines from singletons: it is LeidenDynamicHierarchy when
+// prevH is a dendrogram LeidenDynamicFrom resumed, and likewise when
+// prevH is nil, prevH.Depth() < 2, or prevH.Levels[0].Vertices !=
+// len(prev). A chain of calls alternates the two kinds of run.
+func LeidenDynamicFrom(g *graph.CSR, prev []uint32, prevH *Hierarchy, delta Delta, mode DynamicMode, opt Options) (*Result, *Hierarchy) {
+	return runLeidenDynamic(g, prev, prevH, delta, mode, opt, true)
+}
+
+func runLeidenDynamic(g *graph.CSR, prev []uint32, prevH *Hierarchy, delta Delta, mode DynamicMode, opt Options, hierarchy bool) (*Result, *Hierarchy) {
 	opt = opt.normalize()
 	ws := newWorkspace(g, opt)
 	if hierarchy {
@@ -86,8 +115,96 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode
 	if mode == DynamicFrontier {
 		ws.frontier = frontierOf(warm, delta, bound, n)
 	}
+	if prevH != nil && !prevH.inherited && prevH.Depth() >= 2 && prevH.Levels[0].Vertices == len(prev) {
+		ws.resume = prevH
+		ws.hierarchy.inherited = true
+	}
 
 	return ws.leiden(g), ws.hierarchy
+}
+
+// inheritUnits is pass 0's refinement in a resumed run: it leaves in
+// ws.comm the refined partition inherited from the previous dendrogram
+// h and returns the number of vertices that do not anchor their
+// sub-community, refinePhase's move count for the same partition. The
+// units are the previous run's last-level super-vertices,
+// h.Flatten(h.Depth()−1), each a connected set of old vertices.
+//
+// A vertex keeps its unit when it is an old vertex, did not move in
+// this pass's move phase (bounds equals its warm label), and carries
+// the warm label of its unit's smallest member; the kept members of a
+// unit therefore share one community bound. Every other vertex is a
+// singleton: movers, new vertices, and members a final refinement left
+// outside their unit's community. The kept members of each unit are
+// then split into their connected components in g (splitComponents),
+// since a deletion, or an insertion whose negative weight cancels an
+// edge, can cut a unit; each component is named by its smallest
+// member. So the result holds refinePhase's invariants: every
+// sub-community lies inside one bound, is connected in g, and is named
+// after a vertex it holds (comm[c] == c, which renumberRefined relies
+// on). It is a pure function of h, the warm labels, bounds and g, so
+// deterministic mode stays thread-count invariant.
+//
+// The units are composed on the pool into comm and indexed by members.
+// One region over the units then takes the vertices that do not keep
+// their unit out of comm and names them after themselves in the
+// result, which overwrites the warm labels each unit's task has read;
+// the split names the rest. Σ' is left as the move phase had it: the
+// next pass recomputes it from its own labels.
+func (ws *workspace) inheritUnits(g *graph.CSR, h *Hierarchy) int64 {
+	const none = ^uint32(0)
+	pool, threads, grain := ws.opt.Pool, ws.opt.Threads, ws.opt.Grain
+	n := g.NumVertices()
+	old := min(h.Levels[0].Vertices, n)
+	last := h.Depth() - 1
+	comm := ws.comm[:n]
+	bounds := ws.bounds[:n]
+	out := ws.initC[:n] // pass 0's warm labels until the marking region below overwrites them
+	levels := h.Levels[:last]
+	pool.For(n, threads, grain, func(lo, hi, _ int) {
+		for v := lo; v < hi; v++ {
+			if v >= old {
+				comm[v], out[v] = none, uint32(v)
+				continue
+			}
+			u := levels[0].Membership[v]
+			for _, l := range levels[1:] {
+				u = l.Membership[u]
+			}
+			comm[v] = u
+		}
+	})
+	units := h.Levels[last].Vertices
+	// Reserved for all n vertices: the same allocation serves this index
+	// and the aggregation's after it.
+	ws.commVtx = reserve(ws.commVtx, n)
+	off, vtx := ws.members(comm[:old], units)
+	ws.zeroMoved()
+	pool.For(units, threads, 1, func(lo, hi, tid int) {
+		var moved int64
+		for c := lo; c < hi; c++ {
+			seg := vtx[off[c]:off[c+1]]
+			if len(seg) == 0 {
+				continue
+			}
+			w := out[slices.Min(seg)]
+			kept := int64(0)
+			for _, v := range seg {
+				if bounds[v] == out[v] && out[v] == w {
+					out[v] = unseen
+					kept++
+				} else {
+					comm[v], out[v] = none, v
+				}
+			}
+			moved += max(kept-1, 0)
+		}
+		ws.moved[tid].V += moved
+	})
+	moves := ws.sumMoved()
+	moves -= ws.splitComponents(g, comm, off, vtx, out, ws.scratch[:old])
+	ws.comm, ws.initC = ws.initC, ws.comm
+	return moves
 }
 
 // warmLabels turns the previous membership into warm-start labels for
@@ -130,46 +247,27 @@ func warmLabels(prev []uint32, n int) []uint32 {
 // frontierOf applies the dynamic-frontier marking rule: an inserted
 // edge matters when it crosses communities (its endpoints might now
 // merge); a deleted edge matters when it was internal (its community
-// might now split). New vertices are always marked.
+// might now split). New vertices are always marked. The frontier seeds
+// the pruning flags and the flag-seeding order is observable in
+// deterministic mode, so it comes back sorted and free of duplicates.
 func frontierOf(warm []uint32, delta Delta, firstNew, n int) []uint32 {
-	marked := make(map[uint32]struct{}, 2*(len(delta.Insertions)+len(delta.Deletions)))
-	mark := func(v uint32) {
-		if int(v) < n {
-			marked[v] = struct{}{}
-		}
-	}
+	out := make([]uint32, 0, 2*(len(delta.Insertions)+len(delta.Deletions))+n-firstNew)
 	in := func(v uint32) bool { return int(v) < n }
 	for _, e := range delta.Insertions {
-		if !in(e.U) || !in(e.V) {
-			continue
-		}
-		if warm[e.U] != warm[e.V] {
-			mark(e.U)
-			mark(e.V)
+		if in(e.U) && in(e.V) && warm[e.U] != warm[e.V] {
+			out = append(out, e.U, e.V)
 		}
 	}
 	for _, e := range delta.Deletions {
-		if !in(e.U) || !in(e.V) {
-			continue
-		}
-		if warm[e.U] == warm[e.V] {
-			mark(e.U)
-			mark(e.V)
+		if in(e.U) && in(e.V) && warm[e.U] == warm[e.V] {
+			out = append(out, e.U, e.V)
 		}
 	}
 	// New vertices always start unprocessed: they are singletons that
 	// have never chosen a community.
 	for v := firstNew; v < n; v++ {
-		mark(uint32(v))
+		out = append(out, uint32(v))
 	}
-	out := make([]uint32, 0, len(marked))
-	//gvevet:ignore nodeterm the keys are sorted below before anything consumes them
-	for v := range marked {
-		out = append(out, v)
-	}
-	// The frontier seeds the pruning flags and the flag-seeding order is
-	// observable in deterministic mode, so hand it over sorted rather
-	// than in map order.
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }

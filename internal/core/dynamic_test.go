@@ -224,3 +224,58 @@ func TestWarmLabelsMatchMapReference(t *testing.T) {
 		}
 	}
 }
+
+// mapFrontierOf is the map-based frontierOf it replaced, kept as the
+// reference: marked endpoints collected in a set, then sorted.
+func mapFrontierOf(warm []uint32, delta Delta, firstNew, n int) []uint32 {
+	marked := map[uint32]struct{}{}
+	in := func(v uint32) bool { return int(v) < n }
+	for _, e := range delta.Insertions {
+		if in(e.U) && in(e.V) && warm[e.U] != warm[e.V] {
+			marked[e.U], marked[e.V] = struct{}{}, struct{}{}
+		}
+	}
+	for _, e := range delta.Deletions {
+		if in(e.U) && in(e.V) && warm[e.U] == warm[e.V] {
+			marked[e.U], marked[e.V] = struct{}{}, struct{}{}
+		}
+	}
+	for v := firstNew; v < n; v++ {
+		marked[uint32(v)] = struct{}{}
+	}
+	out := make([]uint32, 0, len(marked))
+	for v := range marked {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestFrontierOfMatchesMapReference: on random warm labels and batches
+// with repeated endpoints, self-loops, out-of-range ids and new
+// vertices, the frontier is the map version's sorted, duplicate-free
+// list.
+func TestFrontierOfMatchesMapReference(t *testing.T) {
+	for seed := uint64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		old := 1 + rng.IntN(200)
+		n := old + rng.IntN(10)
+		warm := make([]uint32, n)
+		for i := range warm {
+			warm[i] = rng.Uint32N(uint32(1 + rng.IntN(old)))
+		}
+		edges := func() []graph.Edge {
+			es := make([]graph.Edge, rng.IntN(40))
+			for i := range es {
+				// Ids up to n+5: some endpoints lie past the vertex set.
+				es[i] = graph.Edge{U: rng.Uint32N(uint32(n + 5)), V: rng.Uint32N(uint32(n + 5)), W: 1}
+			}
+			return es
+		}
+		delta := Delta{Insertions: edges(), Deletions: edges()}
+		got, want := frontierOf(warm, delta, old, n), mapFrontierOf(warm, delta, old, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: frontier %v, want %v", seed, got, want)
+		}
+	}
+}

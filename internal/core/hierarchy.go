@@ -24,9 +24,19 @@ type Level struct {
 // Hierarchy is the full dendrogram of a run: Levels[0] partitions the
 // input graph's vertices; Levels[l] partitions the super-vertices of
 // level l-1. Flatten composes a prefix of levels back onto the input
-// vertices.
+// vertices. It records the levels the run built: a run resumed from a
+// previous dendrogram (LeidenDynamicFrom) starts from that dendrogram's
+// last-level super-vertices, so its Levels[0] groups the input vertices
+// into those inherited units, and it holds only the few passes the
+// resumed run made. Flatten(Depth()−1) gives the units a resumed run
+// inherits; LeidenDynamicFrom does not resume from a resumed run's
+// dendrogram.
 type Hierarchy struct {
 	Levels []Level
+	// inherited marks a resumed run's dendrogram, whose Levels[0] holds
+	// inherited units rather than sub-communities refined from
+	// singletons. LeidenDynamicFrom does not resume from it.
+	inherited bool
 }
 
 // Depth returns the number of levels.

@@ -101,16 +101,28 @@ func runLeiden(g *graph.CSR, ws *workspace) int {
 		ps.MoveIterations = li
 		ps.Move = time.Since(t0)
 
+		// A resumed run's pass 0 inherits its refined partition from the
+		// previous dendrogram (inheritUnits), which overwrites every label
+		// and needs no singleton start.
+		resume := ws.resume
+		ws.resume = nil
 		t0 = now()
-		ws.startRefine(n)
+		if resume == nil {
+			ws.startRefine(n)
+		} else {
+			copy(ws.bounds[:n], ws.comm[:n])
+		}
 		ps.Other += time.Since(t0)
 
 		t0 = now()
 		sp = opt.Tracer.Begin("refine", 0)
 		var moves int64
-		if coloring != nil {
+		switch {
+		case resume != nil:
+			moves = ws.inheritUnits(cur, resume)
+		case coloring != nil:
 			moves = ws.refinePhaseColored(cur, coloring)
-		} else {
+		default:
 			moves = ws.refinePhase(cur)
 		}
 		sp.End()

@@ -204,7 +204,7 @@ func TestMoveLabelsGroupRefinedCommunities(t *testing.T) {
 	ws := newWorkspace(gen.Path(4), testOpts(1).normalize())
 	copy(ws.bounds[:4], []uint32{1, 1, 3, 3}) // raw move labels (vertex ids)
 	copy(ws.comm[:4], []uint32{0, 1, 2, 3})   // refined, renumbered
-	ws.members(4, 4)
+	ws.members(ws.comm[:4], 4)
 	ws.moveLabels(4, 4)
 	if ws.initC[0] != ws.initC[1] || ws.initC[2] != ws.initC[3] {
 		t.Fatalf("move labels failed to group: %v", ws.initC[:4])

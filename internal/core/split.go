@@ -2,12 +2,12 @@ package core
 
 import "gveleiden/internal/graph"
 
-// splitConnectedLabels rewrites labels so that every community is
-// connected in g: each connected component of the subgraph induced by a
-// label becomes its own community, named by its minimum vertex id. It
-// returns the number of extra components carved off; when that is zero
-// (every community already connected — the overwhelmingly common case)
-// labels are left untouched.
+// splitConnected rewrites labels, vertex ids of g, so that every
+// community is connected in g: each connected component of the
+// subgraph induced by a label becomes its own community, named by its
+// minimum vertex id. It returns the number of extra components carved
+// off; when that is zero (every community already connected — the
+// overwhelmingly common case) labels are left untouched.
 //
 // Leiden's refinement keeps every *refined* sub-community connected, so
 // super-vertices are connected at every level — but the flat result the
@@ -21,76 +21,78 @@ import "gveleiden/internal/graph"
 // (the n_c(n_c−1)/2 penalty shrinks), so it never trades quality for
 // connectivity.
 //
-// The sweep is a sequential BFS over g — O(N+M) once per run, on the
-// (usually much smaller) final level — and is a pure function of g and
-// labels, so deterministic mode stays reproducible.
-func splitConnectedLabels(g *graph.CSR, labels []uint32) int {
+// The split indexes the labels' members (members) and searches each
+// label's members on the pool (splitComponents), in the workspace's
+// split buffers. It is a pure function of g and labels, so
+// deterministic mode stays reproducible.
+func (ws *workspace) splitConnected(g *graph.CSR, labels []uint32) int {
 	n := g.NumVertices()
 	if n == 0 {
 		return 0
 	}
-	return splitConnectedInto(g, labels, make([]uint32, n), make([]uint32, n), make([]uint32, n))
-}
-
-// splitConnectedInto is splitConnectedLabels running in caller-provided
-// buffers (each of length n, contents ignored), so the workspace can
-// serve the splits from its grown-once arena (ws.splitConnected) while
-// the standalone wrapper above keeps the allocate-fresh contract for
-// tests and one-off callers. The core drivers always pass vertex-id
-// labels (< n), which the provided seen buffer covers; arbitrary larger
-// labels (possible through the standalone wrapper) fall back to a
-// label-sized flag array.
-func splitConnectedInto(g *graph.CSR, labels, out, seen, queue []uint32) int {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	var maxLabel uint32
-	for _, l := range labels {
-		if l > maxLabel {
-			maxLabel = l
-		}
-	}
-	if int(maxLabel) >= len(seen) {
-		seen = make([]uint32, maxLabel+1)
-	}
-	const unseen = ^uint32(0)
-	for i := range out {
-		out[i] = unseen
-	}
-	for i := range seen {
-		seen[i] = 0 // label → some component already kept it
-	}
-	splits := 0
-	for s := 0; s < n; s++ {
-		if out[s] != unseen {
-			continue
-		}
-		l := labels[s]
-		if seen[l] != 0 {
-			splits++
-		} else {
-			seen[l] = 1
-		}
-		root := uint32(s)
-		out[s] = root
-		queue[0] = root
-		top := 1
-		for top > 0 {
-			top--
-			u := queue[top]
-			es, _ := g.Neighbors(u)
-			for _, e := range es {
-				if out[e] == unseen && labels[e] == l {
-					out[e] = root
-					queue[top] = e
-					top++
-				}
-			}
-		}
-	}
+	pool, threads := ws.opt.Pool, ws.opt.Threads
+	out, queue := ws.splitScratch(n)
+	off, vtx := ws.members(labels[:n], n)
+	pool.FillUint32(out, unseen, threads)
+	splits := int(ws.splitComponents(g, labels[:n], off, vtx, out, queue))
 	if splits > 0 {
 		copy(labels, out)
 	}
 	return splits
+}
+
+// unseen marks a vertex no component search has reached yet.
+const unseen = ^uint32(0)
+
+// splitComponents names every grouped vertex in out after the smallest
+// vertex of its connected component within its group, and returns the
+// number of components beyond one per group that has any. Group c is
+// the vertices in vtx[off[c]:off[c+1]] labelled c; a listed vertex with
+// another label is in no group, and its out entry is left alone. out
+// must read unseen for every grouped vertex, and queue holds one slot
+// per listed vertex. A breadth-first search runs from each grouped
+// vertex not yet reached, over neighbours of the same label. Each
+// group's task reads and writes only its own vertices' out entries, so
+// the groups run on the pool without atomics.
+func (ws *workspace) splitComponents(g *graph.CSR, labels, off, vtx, out, queue []uint32) int64 {
+	pool, threads := ws.opt.Pool, ws.opt.Threads
+	groups := len(off) - 1
+	ws.zeroMoved()
+	pool.For(groups, threads, 1, func(lo, hi, tid int) {
+		var extra int64
+		for c := lo; c < hi; c++ {
+			q := queue[off[c]:off[c+1]]
+			comps := int64(0)
+			for _, s := range vtx[off[c]:off[c+1]] {
+				if labels[s] != uint32(c) || out[s] != unseen {
+					continue
+				}
+				comps++
+				out[s] = s
+				q[0] = s
+				root, size := s, 1
+				for head := 0; head < size; head++ {
+					es, _ := g.Neighbors(q[head])
+					for _, e := range es {
+						if labels[e] == uint32(c) && out[e] == unseen {
+							out[e] = s
+							q[size] = e
+							size++
+							root = min(root, e)
+						}
+					}
+				}
+				if root != s {
+					for _, v := range q[:size] {
+						out[v] = root
+					}
+				}
+			}
+			if comps > 1 {
+				extra += comps - 1
+			}
+		}
+		ws.moved[tid].V += extra
+	})
+	return ws.sumMoved()
 }

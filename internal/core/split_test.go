@@ -5,6 +5,7 @@ import (
 
 	"gveleiden/internal/gen"
 	"gveleiden/internal/graph"
+	"gveleiden/internal/prng"
 	"gveleiden/internal/quality"
 )
 
@@ -17,11 +18,59 @@ func twoTriangles() *graph.CSR {
 	return b.Build()
 }
 
+// splitConnectedLabels is the workspace's connectivity split on g at
+// the given thread count.
+func splitConnectedLabels(g *graph.CSR, labels []uint32, threads int) int {
+	return newWorkspace(g, testOpts(threads).normalize()).splitConnected(g, labels)
+}
+
+// splitSerial is the reference connectivity split: one sequential
+// search per component in ascending vertex order, so each component is
+// named by its first (smallest) vertex, and labels change only when
+// some label holds more than one component.
+func splitSerial(g *graph.CSR, labels []uint32) int {
+	n := g.NumVertices()
+	const unvisited = ^uint32(0)
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = unvisited
+	}
+	kept := make(map[uint32]bool)
+	splits := 0
+	for s := 0; s < n; s++ {
+		if out[s] != unvisited {
+			continue
+		}
+		l := labels[s]
+		if kept[l] {
+			splits++
+		}
+		kept[l] = true
+		out[s] = uint32(s)
+		stack := []uint32{uint32(s)}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			es, _ := g.Neighbors(u)
+			for _, e := range es {
+				if out[e] == unvisited && labels[e] == l {
+					out[e] = uint32(s)
+					stack = append(stack, e)
+				}
+			}
+		}
+	}
+	if splits > 0 {
+		copy(labels, out)
+	}
+	return splits
+}
+
 func TestSplitConnectedLabelsSplitsDisconnected(t *testing.T) {
 	g := twoTriangles()
 	labels := []uint32{0, 0, 0, 0, 0, 0} // one community spanning both triangles
 	before := quality.Modularity(g, labels)
-	splits := splitConnectedLabels(g, labels)
+	splits := splitConnectedLabels(g, labels, 2)
 	if splits != 1 {
 		t.Fatalf("splits = %d, want 1", splits)
 	}
@@ -45,14 +94,50 @@ func TestSplitConnectedLabelsSplitsDisconnected(t *testing.T) {
 
 func TestSplitConnectedLabelsNoOpWhenConnected(t *testing.T) {
 	g := twoTriangles()
-	labels := []uint32{7, 7, 7, 2, 2, 2}
+	labels := []uint32{5, 5, 5, 2, 2, 2}
 	want := append([]uint32(nil), labels...)
-	if splits := splitConnectedLabels(g, labels); splits != 0 {
+	if splits := splitConnectedLabels(g, labels, 2); splits != 0 {
 		t.Fatalf("splits = %d, want 0", splits)
 	}
 	for i := range labels {
 		if labels[i] != want[i] {
 			t.Fatalf("labels modified on no-op: %v", labels)
+		}
+	}
+}
+
+// TestSplitConnectedMatchesSerial holds the pooled split to the serial
+// reference on random labelings of generated graphs, coarse (most
+// labels disconnected) and fine, at one, two and seven threads: the
+// same labels and the same split count.
+func TestSplitConnectedMatchesSerial(t *testing.T) {
+	web, _ := gen.WebGraph(3000, 8, 5)
+	road, _ := gen.RoadNetwork(3000, 6)
+	for _, gc := range []struct {
+		name string
+		g    *graph.CSR
+	}{{"web", web}, {"road", road}} {
+		n := gc.g.NumVertices()
+		for _, k := range []int{3, 40, n / 4} {
+			rng := prng.NewXorshift32(uint64(k))
+			labels := make([]uint32, n)
+			for v := range labels {
+				labels[v] = rng.Uintn(uint32(k)) * uint32(n/k)
+			}
+			want := append([]uint32(nil), labels...)
+			wantSplits := splitSerial(gc.g, want)
+			for _, threads := range []int{1, 2, 7} {
+				got := append([]uint32(nil), labels...)
+				splits := splitConnectedLabels(gc.g, got, threads)
+				if splits != wantSplits {
+					t.Fatalf("%s k=%d t=%d: %d splits, want %d", gc.name, k, threads, splits, wantSplits)
+				}
+				for v := range got {
+					if got[v] != want[v] {
+						t.Fatalf("%s k=%d t=%d: vertex %d labelled %d, want %d", gc.name, k, threads, v, got[v], want[v])
+					}
+				}
+			}
 		}
 	}
 }

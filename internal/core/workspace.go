@@ -55,7 +55,8 @@ type workspace struct {
 	scratch []uint32
 	// commOff/commVtx is the member CSR G'_C' of the last aggregation:
 	// the vertices of each refined community, which moveLabels reads
-	// after aggregation has used it.
+	// after aggregation has used it. The connectivity splits index
+	// their labels there too (members).
 	commOff []uint32
 	commVtx []uint32
 	flags   *parallel.Flags
@@ -66,17 +67,17 @@ type workspace struct {
 	agg     []parallel.Padded[int64]   // per-thread aggregation arc counters
 	arenas  [2]arena
 	movers  [][]mover // per-thread decision buffers (deterministic kernels)
-	// Split scratch: grown-once buffers for the connectivity splits that
-	// close out a run (component labels, label-kept flags, BFS stack).
+	// Split scratch: grown-once buffers for the connectivity splits
+	// (component labels, BFS queues).
 	splitOut   []uint32
-	splitSeen  []uint32
 	splitQueue []uint32
 	cur        int   // arena index holding the *next* write target
 	stats      Stats // per-pass statistics collected by the driver
 
 	// Dynamic (warm-start) state, consumed by pass 0 only.
-	warm     []uint32 // previous membership as representative labels; nil = cold start
-	frontier []uint32 // vertices to seed the pruning flags with; nil = all
+	warm     []uint32   // previous membership as representative labels; nil = cold start
+	frontier []uint32   // vertices to seed the pruning flags with; nil = all
+	resume   *Hierarchy // previous dendrogram whose last level pass 0 inherits; nil = refine from singletons
 
 	// hierarchy, when non-nil, records one Level per pass.
 	hierarchy *Hierarchy
@@ -316,22 +317,13 @@ func (s *sizeState) rollup(opt Options, comm []uint32, nComms int) {
 }
 
 // splitScratch returns the run's grown-once split buffers sized for n
-// vertices, allocating them on first use (terminal connectivity splits
-// only — most runs hit this exactly once).
-func (ws *workspace) splitScratch(n int) (out, seen, queue []uint32) {
+// vertices, allocating them on first use.
+func (ws *workspace) splitScratch(n int) (out, queue []uint32) {
 	if cap(ws.splitOut) < n {
 		ws.splitOut = make([]uint32, n)
-		ws.splitSeen = make([]uint32, n)
 		ws.splitQueue = make([]uint32, n)
 	}
-	return ws.splitOut[:n], ws.splitSeen[:n], ws.splitQueue[:n]
-}
-
-// splitConnected is splitConnectedLabels running in the workspace's
-// split arena instead of fresh per-call buffers.
-func (ws *workspace) splitConnected(g *graph.CSR, labels []uint32) int {
-	out, seen, queue := ws.splitScratch(g.NumVertices())
-	return splitConnectedInto(g, labels, out, seen, queue)
+	return ws.splitOut[:n], ws.splitQueue[:n]
 }
 
 // renumber densifies the labels of comm (values < n) in place and

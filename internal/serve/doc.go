@@ -8,9 +8,13 @@
 // Mutations arrive as delta batches (POST /delta) under the unified
 // delta semantics of graph.EvaluateDelta; they accumulate in a mutable
 // stream.Graph and a bounded background worker folds them into the next
-// snapshot with a warm-started dynamic Leiden run
-// (core.LeidenDynamicHierarchy); POST /recompute queues the same warm
-// run on demand, over whatever delta is pending, possibly none. A
+// snapshot with a warm-started dynamic Leiden run resumed from the
+// published snapshot's dendrogram (core.LeidenDynamicFrom). Unless that
+// dendrogram was itself resumed, pass 0 inherits its last level, and
+// the snapshot's /hierarchy holds only the few levels the run built;
+// otherwise the run refines from singletons and rebuilds the whole
+// dendrogram. POST /recompute queues the same warm run on demand, over
+// whatever delta is pending, possibly none. A
 // swap's stages outside the run — the stream merge, the gate's checks
 // and the members index — run on the server's pool, and the snapshot
 // serves /members from the index the gate checked connectivity

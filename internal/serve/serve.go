@@ -388,7 +388,8 @@ type recovered struct{ value any }
 
 func (r recovered) Error() string { return fmt.Sprintf("panic: %v", r.value) }
 
-// candidate runs the warm detection on g, gates the result and builds
+// candidate runs the warm detection on g, resumed from prev's
+// dendrogram (core.LeidenDynamicFrom), gates the result and builds
 // the snapshot that would replace prev, timing each stage into took. It
 // returns the run's result (nil when the run panicked) and either the
 // snapshot or the reason there is none: the gate's error, or a
@@ -405,7 +406,7 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 		}
 	}()
 	start := time.Now()
-	res, h := core.LeidenDynamicHierarchy(g, prev.Result.Membership, delta, s.cfg.Mode, s.runOptions())
+	res, h := core.LeidenDynamicFrom(g, prev.Result.Membership, prev.Hierarchy, delta, s.cfg.Mode, s.runOptions())
 	took[stageRun] = time.Since(start)
 	s.lat["recompute_run"].ObserveDuration(took[stageRun])
 

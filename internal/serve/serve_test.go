@@ -770,12 +770,110 @@ func TestServeRegionPanicIsRejection(t *testing.T) {
 			opt := cfg.Options
 			opt.Pool, opt.Observer = parallel.NewPool(2), nil
 			defer opt.Pool.Close()
-			want, _ := core.LeidenDynamicHierarchy(v2.Graph, v1.Result.Membership,
+			want, _ := core.LeidenDynamicFrom(v2.Graph, v1.Result.Membership, v1.Hierarchy,
 				core.Delta{Insertions: []graph.Edge{{U: 0, V: 999, W: 1}}}, cfg.Mode, opt)
 			if !slices.Equal(v2.Result.Membership, want.Membership) {
 				t.Fatal("the run after the recovered panic published a different membership than a run on another pool")
 			}
 		})
+	}
+}
+
+// TestServeWarmHierarchyMatchesCommunities: every other warm swap
+// resumes from the published dendrogram, so its snapshot's dendrogram
+// holds only the levels its own run built, and the next swap's run
+// rebuilds a full one. After three warm swaps (the second resumed) and
+// after four, /hierarchy must answer Depth levels, and every vertex's
+// deepest level must group the vertices exactly as /community does.
+func TestServeWarmHierarchyMatchesCommunities(t *testing.T) {
+	s, c := startServer(t, testConfig())
+	cold := s.Snapshot()
+	n0 := uint32(cold.Graph.NumVertices())
+	driveSwaps(t, c, n0, 3)
+	resumed := s.Snapshot()
+	checkHierarchyMatchesCommunities(t, c, resumed, 4)
+	u := n0 + 3
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: u, V: u % n0, W: 1}, {U: u, V: (u + 1) % n0, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitVersion(t, c, 5)
+	full := s.Snapshot()
+	checkHierarchyMatchesCommunities(t, c, full, 5)
+	t.Logf("dendrogram depth: cold %d, after three warm swaps %d, after four %d", cold.Depth(), resumed.Depth(), full.Depth())
+	if resumed.Depth() >= full.Depth() {
+		t.Errorf("the resumed snapshot's dendrogram has %d levels, no fewer than the next one's %d", resumed.Depth(), full.Depth())
+	}
+}
+
+// checkHierarchyMatchesCommunities holds every vertex's /hierarchy
+// answer to the snapshot of the given version: Depth levels, and the
+// deepest level grouping the vertices exactly as /community does.
+func checkHierarchyMatchesCommunities(t *testing.T, c *Client, snap *Snapshot, version uint64) {
+	t.Helper()
+	if !snap.Warm || snap.Version != version {
+		t.Fatalf("snapshot version %d, warm %v: want warm version %d", snap.Version, snap.Warm, version)
+	}
+	deepest := map[uint32]uint32{} // deepest-level community → /community's
+	final := map[uint32]uint32{}   // and back
+	for v := uint32(0); v < uint32(snap.Graph.NumVertices()); v++ {
+		hr, err := c.Hierarchy(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := c.Community(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr.Version != snap.Version || cr.Version != snap.Version {
+			t.Fatalf("vertex %d answered from versions %d and %d, want %d", v, hr.Version, cr.Version, snap.Version)
+		}
+		if hr.Depth < 1 || len(hr.Levels) != hr.Depth || hr.Final != cr.Community {
+			t.Fatalf("vertex %d: bad hierarchy response %+v (community %d)", v, hr, cr.Community)
+		}
+		d := hr.Levels[hr.Depth-1]
+		if f, ok := deepest[d]; ok && f != cr.Community {
+			t.Fatalf("deepest-level community %d holds vertices of communities %d and %d", d, f, cr.Community)
+		}
+		if l, ok := final[cr.Community]; ok && l != d {
+			t.Fatalf("community %d spans deepest-level communities %d and %d", cr.Community, l, d)
+		}
+		deepest[d], final[cr.Community] = cr.Community, d
+	}
+}
+
+// TestServeSwapCutsInheritedUnit: a deletion inside one of the
+// published dendrogram's last-level super-vertices cuts the unit a
+// warm run inherits. The run must split it, and the swap must publish.
+func TestServeSwapCutsInheritedUnit(t *testing.T) {
+	s, c := startServerOn(t, gen.Path(400), testConfig())
+	h := s.Snapshot().Hierarchy
+	if h.Depth() < 2 {
+		t.Fatalf("cold dendrogram depth %d: no unit to inherit", h.Depth())
+	}
+	u, err := h.Flatten(h.Depth() - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := -1
+	for v := 1; v+2 < len(u); v++ {
+		if u[v-1] == u[v] && u[v] == u[v+1] && u[v+1] == u[v+2] {
+			i = v
+			break
+		}
+	}
+	if i < 0 {
+		t.Fatal("no unit of four consecutive path vertices")
+	}
+	if _, err := c.ApplyDelta(nil, []EdgeUpdate{{U: uint32(i), V: uint32(i + 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	waitVersion(t, c, 2)
+	if s.Rejections() != 0 {
+		t.Fatalf("the gate rejected %d candidates", s.Rejections())
+	}
+	l0 := s.Snapshot().Hierarchy.Levels[0]
+	if l0.Membership[i] == l0.Membership[i+1] || l0.Membership[i-1] != l0.Membership[i] {
+		t.Fatalf("the published run did not split the cut unit at %d: level 0 labels %v", i, l0.Membership[i-1:i+3])
 	}
 }
 
