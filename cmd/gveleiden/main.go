@@ -102,15 +102,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.flightSize, "flight", observe.DefaultFlightSize, "flight-recorder capacity: last N run records kept for /debug/flight")
 	fs.BoolVar(&c.checkDis, "check-disconnected", true, "count internally-disconnected communities")
 	fs.BoolVar(&c.check, "check", false, "run the correctness oracle on this run (per-level and whole-run invariants); exit nonzero on any violation")
-	pprofAddr := fs.String("pprof", "", "deprecated alias for -serve (same endpoint set)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if *pprofAddr != "" {
-		if c.serveAddr == "" {
-			c.serveAddr = *pprofAddr
-		}
-		fmt.Fprintln(stderr, "gveleiden: -pprof is deprecated; use -serve (same endpoints plus /metrics)")
 	}
 	return c, nil
 }

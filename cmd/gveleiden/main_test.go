@@ -228,15 +228,3 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Errorf("bad serve address: exit %d, want 1", code)
 	}
 }
-
-// TestRunPprofAlias checks that the deprecated -pprof flag routes to the
-// introspection server and still fails loudly on a bad address.
-func TestRunPprofAlias(t *testing.T) {
-	var out, errb syncBuffer
-	if code := run([]string{"-gen", "er", "-n", "500", "-pprof", "256.256.256.256:99999"}, &out, &errb); code != 1 {
-		t.Errorf("bad pprof address: exit %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "-pprof is deprecated") {
-		t.Errorf("no deprecation warning on stderr:\n%s", errb.String())
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"gveleiden/internal/graph"
+	"gveleiden/internal/quality"
 )
 
 // The paper closes §4.1 noting that the refine-based labelling "may be
@@ -136,14 +137,15 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, prevH *Hierarchy, delta Delta
 // unit therefore share one community bound. Every other vertex is a
 // singleton: movers, new vertices, and members a final refinement left
 // outside their unit's community. The kept members of each unit are
-// then split into their connected components in g (splitComponents),
-// since a deletion, or an insertion whose negative weight cancels an
-// edge, can cut a unit; each component is named by its smallest
-// member. So the result holds refinePhase's invariants: every
-// sub-community lies inside one bound, is connected in g, and is named
-// after a vertex it holds (comm[c] == c, which renumberRefined relies
-// on). It is a pure function of h, the warm labels, bounds and g, so
-// deterministic mode stays thread-count invariant.
+// then split into their connected components in g
+// (quality.ComponentsOn), since a deletion, or an insertion whose
+// negative weight cancels an edge, can cut a unit; each component is
+// named by its smallest member. So the result holds refinePhase's
+// invariants: every sub-community lies inside one bound, is connected
+// in g, and is named after a vertex it holds (comm[c] == c, which
+// renumberRefined relies on). It is a pure function of h, the warm
+// labels, bounds and g, so deterministic mode stays thread-count
+// invariant.
 //
 // The units are composed on the pool into comm and indexed by members.
 // One region over the units then takes the vertices that do not keep
@@ -191,7 +193,6 @@ func (ws *workspace) inheritUnits(g *graph.CSR, h *Hierarchy) int64 {
 			kept := int64(0)
 			for _, v := range seg {
 				if bounds[v] == out[v] && out[v] == w {
-					out[v] = unseen
 					kept++
 				} else {
 					comm[v], out[v] = none, v
@@ -201,8 +202,8 @@ func (ws *workspace) inheritUnits(g *graph.CSR, h *Hierarchy) int64 {
 		}
 		ws.moved[tid].V += moved
 	})
-	moves := ws.sumMoved()
-	moves -= ws.splitComponents(g, comm, off, vtx, out, ws.scratch[:old])
+	extra, _ := quality.ComponentsOn(pool, threads, g, comm, off, vtx, ws.marks(n), ws.scratch[:old], out)
+	moves := ws.sumMoved() - extra
 	ws.comm, ws.initC = ws.initC, ws.comm
 	return moves
 }

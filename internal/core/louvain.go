@@ -6,7 +6,6 @@ import (
 	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
 	"gveleiden/internal/observe"
-	"gveleiden/internal/quality"
 )
 
 // Louvain runs GVE-Louvain: the same optimized machinery as Leiden —
@@ -119,12 +118,4 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		tau /= opt.ToleranceDrop
 		ws.endPass("louvain", pass, &ps, psp)
 	}
-}
-
-// Quality re-exported helpers so callers of core don't need the quality
-// package for the common case.
-
-// ModularityOf returns the modularity of an arbitrary membership on g.
-func ModularityOf(g *graph.CSR, membership []uint32) float64 {
-	return quality.Modularity(g, membership)
 }

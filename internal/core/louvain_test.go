@@ -69,11 +69,3 @@ func TestLouvainRecordsStats(t *testing.T) {
 		}
 	}
 }
-
-func TestModularityOfHelper(t *testing.T) {
-	g := gen.Cycle(6)
-	member := []uint32{0, 0, 0, 1, 1, 1}
-	if got, want := ModularityOf(g, member), quality.Modularity(g, member); got != want {
-		t.Fatalf("ModularityOf = %v, want %v", got, want)
-	}
-}

@@ -68,9 +68,11 @@ type workspace struct {
 	arenas  [2]arena
 	movers  [][]mover // per-thread decision buffers (deterministic kernels)
 	// Split scratch: grown-once buffers for the connectivity splits
-	// (component labels, BFS queues).
+	// (component labels, BFS queues) and the visit marks that the
+	// splits and a resumed pass 0's unit split share (marks).
 	splitOut   []uint32
 	splitQueue []uint32
+	seen       []bool
 	cur        int   // arena index holding the *next* write target
 	stats      Stats // per-pass statistics collected by the driver
 
@@ -324,6 +326,14 @@ func (ws *workspace) splitScratch(n int) (out, queue []uint32) {
 		ws.splitQueue = make([]uint32, n)
 	}
 	return ws.splitOut[:n], ws.splitQueue[:n]
+}
+
+// marks returns the run's grown-once visit marks for n vertices, all
+// cleared, for a component search.
+func (ws *workspace) marks(n int) []bool {
+	ws.seen = reserve(ws.seen, n)
+	clear(ws.seen)
+	return ws.seen
 }
 
 // renumber densifies the labels of comm (values < n) in place and

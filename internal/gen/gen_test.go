@@ -4,7 +4,14 @@ import (
 	"testing"
 
 	"gveleiden/internal/graph"
+	"gveleiden/internal/quality"
 )
+
+// connected reports whether g is one connected component: the
+// disconnected-community counter on the all-zero membership.
+func connected(g *graph.CSR) bool {
+	return quality.CountDisconnected(g, make([]uint32, g.NumVertices()), 1).Disconnected == 0
+}
 
 func TestClassicShapes(t *testing.T) {
 	p := Path(5)
@@ -125,7 +132,7 @@ func TestBarabasiAlbertDegrees(t *testing.T) {
 	if max < 20 {
 		t.Fatalf("BA max degree = %d: no hubs → not preferential", max)
 	}
-	if !graph.IsConnected(g) {
+	if !connected(g) {
 		t.Fatal("BA graph must be connected")
 	}
 }
@@ -175,7 +182,7 @@ func TestRoadAndKmerDegreeRegime(t *testing.T) {
 	if avg < 1.8 || avg > 2.6 {
 		t.Fatalf("road avg degree = %v, want ≈2.1", avg)
 	}
-	if !graph.IsConnected(road) {
+	if !connected(road) {
 		t.Fatal("road network must be connected")
 	}
 	kmer, _ := KmerGraph(5000, 3)
@@ -288,7 +295,7 @@ func TestBarabasiAlbertSmallN(t *testing.T) {
 	}
 	// k < 1 is clamped to 1.
 	g = BarabasiAlbert(50, 0, 2)
-	if !graph.IsConnected(g) {
+	if !connected(g) {
 		t.Fatal("BA with k clamped to 1 must still connect")
 	}
 }

@@ -1,17 +1,53 @@
-package graph
+package graph_test
 
 import (
 	"testing"
+
+	"gveleiden/internal/graph"
+	"gveleiden/internal/quality"
 )
+
+// components labels every vertex of g with the smallest vertex of its
+// connected component, searching the whole graph as one group with
+// quality.ComponentsOn, and returns the labels and the component count.
+func components(g *graph.CSR) ([]uint32, int) {
+	n := g.NumVertices()
+	if n == 0 {
+		return nil, 0
+	}
+	vtx := make([]uint32, n)
+	for v := range vtx {
+		vtx[v] = uint32(v)
+	}
+	comp := make([]uint32, n)
+	extra, _ := quality.ComponentsOn(nil, 1, g, make([]uint32, n), []uint32{0, uint32(n)}, vtx, make([]bool, n), make([]uint32, n), comp)
+	return comp, int(extra) + 1
+}
+
+// subsetConnected reports whether the subgraph of g induced by subset
+// is connected, searching subset as the one group of
+// quality.ComponentsOn.
+func subsetConnected(g *graph.CSR, subset []uint32) bool {
+	n := g.NumVertices()
+	labels := make([]uint32, n)
+	for v := range labels {
+		labels[v] = 1 // no group
+	}
+	for _, v := range subset {
+		labels[v] = 0
+	}
+	_, split := quality.ComponentsOn(nil, 1, g, labels, []uint32{0, uint32(len(subset))}, subset, make([]bool, n), make([]uint32, len(subset)), nil)
+	return split == 0
+}
 
 func TestConnectedComponents(t *testing.T) {
 	// Two components: a path 0-1-2 and an edge 3-4; isolated vertex 5.
-	b := NewBuilder(6)
+	b := graph.NewBuilder(6)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	b.AddEdge(3, 4, 1)
 	g := b.Build()
-	comp, count := ConnectedComponents(g)
+	comp, count := components(g)
 	if count != 3 {
 		t.Fatalf("components = %d, want 3", count)
 	}
@@ -27,73 +63,45 @@ func TestConnectedComponents(t *testing.T) {
 }
 
 func TestIsConnected(t *testing.T) {
-	if !IsConnected(FromAdjacency([][]uint32{{1}, {0, 2}, {1}})) {
+	isConnected := func(g *graph.CSR) bool {
+		return quality.CountDisconnected(g, make([]uint32, g.NumVertices()), 1).Disconnected == 0
+	}
+	if !isConnected(graph.FromAdjacency([][]uint32{{1}, {0, 2}, {1}})) {
 		t.Fatal("path not connected?")
 	}
-	if IsConnected(FromAdjacency([][]uint32{{1}, {0}, {3}, {2}})) {
+	if isConnected(graph.FromAdjacency([][]uint32{{1}, {0}, {3}, {2}})) {
 		t.Fatal("two components reported connected")
 	}
-	if !IsConnected(FromAdjacency(nil)) {
+	if !isConnected(graph.FromAdjacency(nil)) {
 		t.Fatal("empty graph must count as connected")
 	}
-	if !IsConnected(FromAdjacency([][]uint32{{}})) {
+	if !isConnected(graph.FromAdjacency([][]uint32{{}})) {
 		t.Fatal("singleton must count as connected")
 	}
 }
 
 func TestSubsetConnected(t *testing.T) {
 	// 0-1-2-3 path plus isolated-ish 4 connected only to 0.
-	b := NewBuilder(5)
+	b := graph.NewBuilder(5)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	b.AddEdge(2, 3, 1)
 	b.AddEdge(0, 4, 1)
 	g := b.Build()
-	s := NewSubsetScratch(g.NumVertices())
 
-	if !s.SubsetConnected(g, []uint32{0, 1, 2}) {
+	if !subsetConnected(g, []uint32{0, 1, 2}) {
 		t.Fatal("contiguous path subset must be connected")
 	}
-	if s.SubsetConnected(g, []uint32{0, 2}) {
+	if subsetConnected(g, []uint32{0, 2}) {
 		t.Fatal("{0,2} is disconnected within the subset (1 missing)")
 	}
-	if !s.SubsetConnected(g, []uint32{1, 2, 3}) {
+	if !subsetConnected(g, []uint32{1, 2, 3}) {
 		t.Fatal("suffix path must be connected")
 	}
-	if s.SubsetConnected(g, []uint32{4, 3}) {
+	if subsetConnected(g, []uint32{4, 3}) {
 		t.Fatal("{3,4} are far apart")
 	}
-	if !s.SubsetConnected(g, nil) || !s.SubsetConnected(g, []uint32{2}) {
+	if !subsetConnected(g, nil) || !subsetConnected(g, []uint32{2}) {
 		t.Fatal("empty/singleton subsets are connected by definition")
-	}
-}
-
-func TestSubsetScratchReuse(t *testing.T) {
-	g := FromAdjacency([][]uint32{{1}, {0, 2}, {1, 3}, {2}})
-	s := NewSubsetScratch(4)
-	// Alternate connected/disconnected queries to ensure generations
-	// fully isolate the calls.
-	for i := 0; i < 100; i++ {
-		if !s.SubsetConnected(g, []uint32{0, 1}) {
-			t.Fatalf("iter %d: {0,1} must be connected", i)
-		}
-		if s.SubsetConnected(g, []uint32{0, 3}) {
-			t.Fatalf("iter %d: {0,3} must be disconnected", i)
-		}
-	}
-}
-
-func TestSubsetScratchGenerationWrap(t *testing.T) {
-	g := FromAdjacency([][]uint32{{1}, {0}, {}})
-	s := NewSubsetScratch(3)
-	s.gen = ^uint32(0) - 1 // force a wrap within two calls
-	if !s.SubsetConnected(g, []uint32{0, 1}) {
-		t.Fatal("pre-wrap query wrong")
-	}
-	if s.SubsetConnected(g, []uint32{0, 2}) {
-		t.Fatal("post-wrap query must see clean stamps")
-	}
-	if !s.SubsetConnected(g, []uint32{0, 1}) {
-		t.Fatal("post-wrap connected query wrong")
 	}
 }

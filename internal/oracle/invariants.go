@@ -59,17 +59,13 @@ func CheckRefinement(r *Report, fine, coarse []uint32) {
 // disconnected in g — the paper's headline guarantee for Leiden (it
 // deliberately does NOT hold for Louvain, the Figure 6d contrast).
 func CheckConnected(r *Report, g *graph.CSR, membership []uint32, threads int) {
-	CheckConnectedOn(r, nil, g, membership, threads)
-}
-
-// CheckConnectedOn is CheckConnected on pool p (nil = default pool).
-func CheckConnectedOn(r *Report, p *parallel.Pool, g *graph.CSR, membership []uint32, threads int) {
 	r.Checks++
-	connected(r, quality.CountDisconnectedOn(p, g, membership, threads))
+	connected(r, quality.CountDisconnected(g, membership, threads))
 }
 
-// CheckConnectedIn is CheckConnectedOn through the members index m of
-// membership (quality.IndexMembers), for a caller that keeps the index.
+// CheckConnectedIn is CheckConnected on pool p (nil = default pool)
+// through the members index m of membership (quality.IndexMembers),
+// for a caller that keeps the index.
 func CheckConnectedIn(r *Report, p *parallel.Pool, g *graph.CSR, membership []uint32, m quality.Members, threads int) {
 	r.Checks++
 	connected(r, quality.CountDisconnectedIn(p, g, membership, m, threads))

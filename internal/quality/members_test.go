@@ -62,18 +62,17 @@ func TestMembersOfIsCapacityCapped(t *testing.T) {
 }
 
 // subsetScratchStats is CountDisconnectedOn as it was before the
-// members index: a map renumbering, a counting-sort bucket, and one
-// SubsetScratch BFS per community.
+// members index: a map grouping, then one serial search per community
+// (subsetComponents, which stands in for graph.SubsetScratch's BFS).
 func subsetScratchStats(g *graph.CSR, membership []uint32) DisconnectedStats {
 	n := g.NumVertices()
 	groups := map[uint32][]uint32{}
 	for v := 0; v < n; v++ {
 		groups[membership[v]] = append(groups[membership[v]], uint32(v))
 	}
-	s := graph.NewSubsetScratch(n)
 	ds := DisconnectedStats{Communities: len(groups)}
 	for _, members := range groups {
-		if !s.SubsetConnected(g, members) {
+		if _, comps := subsetComponents(g, members); comps > 1 {
 			ds.Disconnected++
 		}
 	}
@@ -85,9 +84,9 @@ func subsetScratchStats(g *graph.CSR, membership []uint32) DisconnectedStats {
 
 // TestCountDisconnectedInMatchesSubsetScratch: on random partitions of
 // generated graphs with planted disconnected communities (pairs of
-// communities merged under one label), and on the same partitions
-// relabelled with labels at and past the vertex count, the indexed BFS
-// gives the SubsetScratch BFS's stats at 1, 2 and 7 threads.
+// connected pieces merged under one label), and on the same partitions
+// relabelled with labels at and past the vertex count, the indexed
+// search gives the serial subset search's stats at 1, 2 and 7 threads.
 func TestCountDisconnectedInMatchesSubsetScratch(t *testing.T) {
 	pool := parallel.NewPool(7)
 	defer pool.Close()
@@ -101,42 +100,7 @@ func TestCountDisconnectedInMatchesSubsetScratch(t *testing.T) {
 			g, _ = gen.RoadNetwork(n, seed)
 		}
 		n = g.NumVertices()
-		// A BFS partition into connected pieces of up to 20 vertices.
-		membership := make([]uint32, n)
-		const unset = ^uint32(0)
-		for v := range membership {
-			membership[v] = unset
-		}
-		k := uint32(0)
-		for s := 0; s < n; s++ {
-			if membership[s] != unset {
-				continue
-			}
-			queue, size := []uint32{uint32(s)}, 1
-			membership[s] = k
-			for len(queue) > 0 && size < 20 {
-				u := queue[0]
-				queue = queue[1:]
-				es, _ := g.Neighbors(u)
-				for _, e := range es {
-					if membership[e] == unset && size < 20 {
-						membership[e] = k
-						queue = append(queue, e)
-						size++
-					}
-				}
-			}
-			k++
-		}
-		// Plant disconnected communities: merge random pairs of pieces.
-		for p := 0; p < int(k)/10; p++ {
-			a, b := rng.Uint32N(k), rng.Uint32N(k)
-			for v := range membership {
-				if membership[v] == b {
-					membership[v] = a
-				}
-			}
-		}
+		membership, k := plantedPieces(g, rng)
 		// The same partition under labels ≥ n.
 		far := make([]uint32, n)
 		for v, c := range membership {

@@ -2,6 +2,7 @@ package quality
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"gveleiden/internal/graph"
@@ -44,20 +45,7 @@ func AnalyzeCommunities(g *graph.CSR, membership []uint32) []CommunityMetrics {
 	if n == 0 {
 		return nil
 	}
-	dense := make(map[uint32]uint32, 256)
-	idx := make([]uint32, n)
-	var labels []uint32
-	for i := 0; i < n; i++ {
-		c := membership[i]
-		d, ok := dense[c]
-		if !ok {
-			d = uint32(len(dense))
-			dense[c] = d
-			labels = append(labels, c)
-		}
-		idx[i] = d
-	}
-	k := len(dense)
+	idx, k := denseLabels(n, membership)
 	ms := make([]CommunityMetrics, k)
 	var twoM float64
 	for i := 0; i < n; i++ {
@@ -75,13 +63,14 @@ func AnalyzeCommunities(g *graph.CSR, membership []uint32) []CommunityMetrics {
 			}
 		}
 	}
-	scratch := graph.NewSubsetScratch(n)
-	members := make([][]uint32, k)
-	for i := 0; i < n; i++ {
-		members[idx[i]] = append(members[idx[i]], uint32(i))
-	}
+	// Each member is named after the smallest vertex of its component;
+	// a community's first member is its smallest.
+	m := IndexMembers(idx)
+	name := make([]uint32, n)
+	ComponentsOn(nil, 0, g, idx, m.Offsets, m.Vertices, make([]bool, n), make([]uint32, n), name)
 	for c := range ms {
-		ms[c].ID = labels[c]
+		members := m.Of(uint32(c))
+		ms[c].ID = membership[members[0]]
 		ms[c].Internal /= 2 // arcs → undirected weight
 		if ms[c].Size > 1 {
 			pairs := float64(ms[c].Size) * float64(ms[c].Size-1) / 2
@@ -91,7 +80,7 @@ func AnalyzeCommunities(g *graph.CSR, membership []uint32) []CommunityMetrics {
 		if denom > 0 {
 			ms[c].Conductance = ms[c].Cut / denom
 		}
-		ms[c].Connected = scratch.SubsetConnected(g, members[c])
+		ms[c].Connected = !slices.ContainsFunc(members, func(v uint32) bool { return name[v] != members[0] })
 	}
 	return ms
 }

@@ -1,9 +1,12 @@
 package quality
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
+	"gveleiden/internal/gen"
 	"gveleiden/internal/graph"
 )
 
@@ -124,5 +127,116 @@ func TestAnalyzeSingletons(t *testing.T) {
 	// All pairs are inter; the 7 edges are misclassified: (0 + (15-7))/15.
 	if math.Abs(pm.Performance-8.0/15.0) > 1e-12 {
 		t.Fatalf("performance = %v", pm.Performance)
+	}
+}
+
+// analyzeCommunitiesReference is AnalyzeCommunities as it was before
+// the shared component search: a label map, per-community member
+// appends and one serial search per community (subsetComponents, which
+// stands in for graph.SubsetScratch's BFS).
+func analyzeCommunitiesReference(g *graph.CSR, membership []uint32) []CommunityMetrics {
+	n := g.NumVertices()
+	if n == 0 {
+		return nil
+	}
+	dense := make(map[uint32]uint32, 256)
+	idx := make([]uint32, n)
+	var labels []uint32
+	for i := 0; i < n; i++ {
+		c := membership[i]
+		d, ok := dense[c]
+		if !ok {
+			d = uint32(len(dense))
+			dense[c] = d
+			labels = append(labels, c)
+		}
+		idx[i] = d
+	}
+	k := len(dense)
+	ms := make([]CommunityMetrics, k)
+	var twoM float64
+	for i := 0; i < n; i++ {
+		ci := idx[i]
+		ms[ci].Size++
+		es, ws := g.Neighbors(uint32(i))
+		for kk, e := range es {
+			w := float64(ws[kk])
+			twoM += w
+			ms[ci].Volume += w
+			if idx[e] == ci {
+				ms[ci].Internal += w
+			} else {
+				ms[ci].Cut += w
+			}
+		}
+	}
+	members := make([][]uint32, k)
+	for i := 0; i < n; i++ {
+		members[idx[i]] = append(members[idx[i]], uint32(i))
+	}
+	for c := range ms {
+		ms[c].ID = labels[c]
+		ms[c].Internal /= 2 // arcs → undirected weight
+		if ms[c].Size > 1 {
+			pairs := float64(ms[c].Size) * float64(ms[c].Size-1) / 2
+			ms[c].Density = ms[c].Internal / pairs
+		}
+		denom := math.Min(ms[c].Volume, twoM-ms[c].Volume)
+		if denom > 0 {
+			ms[c].Conductance = ms[c].Cut / denom
+		}
+		_, comps := subsetComponents(g, members[c])
+		ms[c].Connected = comps <= 1
+	}
+	return ms
+}
+
+// TestAnalyzeCommunitiesMatchesReference: on generated graphs with
+// planted disconnected communities, under dense labels, labels with
+// gaps below the vertex count and labels at and past it, every field
+// of every community equals the reference's bit for bit (%v prints a
+// float64 in the shortest form that reads back to the same bits), and
+// AnalyzePartition counts the reference's disconnected communities.
+func TestAnalyzeCommunitiesMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 5))
+		var g *graph.CSR
+		if seed%2 == 0 {
+			g, _ = gen.WebGraph(300+rng.IntN(1500), 8, seed)
+		} else {
+			g, _ = gen.RoadNetwork(300+rng.IntN(1500), seed)
+		}
+		n := g.NumVertices()
+		dense, k := plantedPieces(g, rng)
+		gaps, far := make([]uint32, n), make([]uint32, n)
+		for v, c := range dense {
+			gaps[v] = (k - 1 - c) * uint32(n/int(k))
+			far[v] = uint32(n) + 7*c
+		}
+		for _, tc := range []struct {
+			name   string
+			labels []uint32
+		}{{"dense", dense}, {"gaps", gaps}, {"labels ≥ n", far}} {
+			want := analyzeCommunitiesReference(g, tc.labels)
+			got := AnalyzeCommunities(g, tc.labels)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, %s: %d communities, want %d", seed, tc.name, len(got), len(want))
+			}
+			disconnected := 0
+			for c := range want {
+				if gs, ws := fmt.Sprintf("%+v", got[c]), fmt.Sprintf("%+v", want[c]); gs != ws {
+					t.Fatalf("seed %d, %s: community %d is %s, want %s", seed, tc.name, c, gs, ws)
+				}
+				if !want[c].Connected {
+					disconnected++
+				}
+			}
+			if disconnected == 0 {
+				t.Fatalf("seed %d, %s: no disconnected community planted", seed, tc.name)
+			}
+			if pm := AnalyzePartition(g, tc.labels); pm.Disconnected != disconnected || pm.Communities != len(want) {
+				t.Fatalf("seed %d, %s: partition %d of %d disconnected, want %d of %d", seed, tc.name, pm.Disconnected, pm.Communities, disconnected, len(want))
+			}
+		}
 	}
 }

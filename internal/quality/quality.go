@@ -289,60 +289,103 @@ func (m Members) Of(c uint32) []uint32 {
 
 // CountDisconnectedIn counts the disconnected communities of
 // membership given its members index m (IndexMembers of the same
-// membership), BFS-checking the communities in parallel on pool p (nil
-// = default pool). A BFS from a community's first member follows only
-// arcs to vertices v with membership[v] == c. The communities are
-// disjoint, so one visited array and one queue array shared by all
-// workers suffice: community c queues its vertices in its own segment
-// of the index's layout. Communities counts the nonempty communities.
+// membership), searching the communities' components in parallel on
+// pool p (nil = default pool) with ComponentsOn. Communities counts
+// the nonempty communities.
 func CountDisconnectedIn(p *parallel.Pool, g *graph.CSR, membership []uint32, m Members, threads int) DisconnectedStats {
-	if p == nil {
-		p = parallel.Default()
-	}
-	if threads <= 0 {
-		threads = parallel.DefaultThreads()
-	}
-	k := m.Len()
-	visited := make([]bool, len(membership))
-	queue := make([]uint32, len(membership))
-	// Padded counters: adjacent workers otherwise bounce the cache line
-	// holding their increment targets.
-	bad := make([]parallel.Padded[int64], threads)
-	p.ForEach(k, threads, 8, func(c, tid int) {
-		members := m.Of(uint32(c))
-		if len(members) <= 1 {
-			return
-		}
-		q := queue[m.Offsets[c]:m.Offsets[c+1]]
-		q[0], visited[members[0]] = members[0], true
-		tail := 1
-		for head := 0; head < tail; head++ {
-			es, _ := g.Neighbors(q[head])
-			for _, v := range es {
-				if membership[v] == uint32(c) && !visited[v] {
-					visited[v] = true
-					q[tail] = v
-					tail++
-				}
-			}
-		}
-		if tail != len(members) {
-			bad[tid].V++
-		}
-	})
-	var total int64
-	for i := range bad {
-		total += bad[i].V
-	}
+	n := len(membership)
+	_, split := ComponentsOn(p, threads, g, membership, m.Offsets, m.Vertices, make([]bool, n), make([]uint32, n), nil)
 	communities := 0
-	for c := 0; c < k; c++ {
+	for c := 0; c < m.Len(); c++ {
 		if m.Offsets[c+1] > m.Offsets[c] {
 			communities++
 		}
 	}
 	frac := 0.0
 	if communities > 0 {
-		frac = float64(total) / float64(communities)
+		frac = float64(split) / float64(communities)
 	}
-	return DisconnectedStats{Communities: communities, Disconnected: int(total), Fraction: frac}
+	return DisconnectedStats{Communities: communities, Disconnected: int(split), Fraction: frac}
+}
+
+// ComponentsOn searches the connected components of label groups on
+// pool p (nil = default pool) with up to threads participants (≤ 0:
+// the default count). It is the one component search of the module:
+// the run's connectivity splits, the disconnected-community counter
+// and AnalyzeCommunities all call it.
+//
+// Group c is the vertices in vtx[off[c]:off[c+1]] that carry label c.
+// A listed vertex with another label is in no group and none of its
+// entries is touched; every vertex labelled c must be listed in group
+// c. A breadth-first search runs from each grouped vertex not yet
+// reached, over arcs to vertices of the same label, and marks what it
+// reaches in seen, which must read false for every grouped vertex.
+// Group c queues in its own segment queue[off[c]:off[c+1]], so queue
+// holds one slot per listed vertex. The groups are disjoint, so each
+// group's task touches only its own vertices' entries and the groups
+// run without atomics. A group's scan of its list stops once its
+// searches have reached every listed vertex: a connected group whose
+// list holds only its own vertices costs one search.
+//
+// When out is non-nil, each grouped vertex's entry is set to the
+// smallest vertex of its component. ComponentsOn returns the number of
+// components beyond one per group (extra) and the number of groups
+// with more than one component (split).
+func ComponentsOn(p *parallel.Pool, threads int, g *graph.CSR, labels, off, vtx []uint32, seen []bool, queue, out []uint32) (extra, split int64) {
+	if p == nil {
+		p = parallel.Default()
+	}
+	if threads <= 0 {
+		threads = parallel.DefaultThreads()
+	}
+	// Padded counters: adjacent workers otherwise bounce the cache line
+	// holding their increment targets.
+	extras := make([]parallel.Padded[int64], threads)
+	splits := make([]parallel.Padded[int64], threads)
+	p.For(len(off)-1, threads, 1, func(lo, hi, tid int) {
+		var ex, sp int64
+		for c := lo; c < hi; c++ {
+			list := vtx[off[c]:off[c+1]]
+			q := queue[off[c]:off[c+1]]
+			comps, reached := int64(0), 0
+			for _, s := range list {
+				if labels[s] != uint32(c) || seen[s] {
+					continue
+				}
+				comps++
+				seen[s], q[0] = true, s
+				root, size := s, 1
+				for head := 0; head < size; head++ {
+					es, _ := g.Neighbors(q[head])
+					for _, e := range es {
+						if labels[e] == uint32(c) && !seen[e] {
+							seen[e] = true
+							q[size] = e
+							size++
+							root = min(root, e)
+						}
+					}
+				}
+				if out != nil {
+					for _, v := range q[:size] {
+						out[v] = root
+					}
+				}
+				if reached += size; reached == len(list) {
+					break
+				}
+			}
+			if comps > 1 {
+				ex += comps - 1
+				sp++
+			}
+		}
+		extras[tid].V += ex
+		splits[tid].V += sp
+	})
+	for i := range extras {
+		extra += extras[i].V
+		split += splits[i].V
+	}
+	return extra, split
 }

@@ -435,7 +435,9 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 // gate runs the invariant suite on a candidate, on the server's pool:
 // CSR well-formedness, partition validity with dense labels, no
 // internally-disconnected communities, and (when prev is non-nil) the
-// differential quality bound. Any violation blocks publication. A
+// differential quality bound. Any violation blocks publication.
+// Connectivity is checked only once the CSR and partition checks
+// pass, since its search walks the arcs and labels they vouch for. A
 // candidate that passes gets the members index its connectivity was
 // checked through, for the snapshot to serve.
 func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) (quality.Members, error) {
@@ -447,8 +449,6 @@ func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) (quality.M
 	if r.Ok() {
 		members = quality.IndexMembers(res.Membership)
 		oracle.CheckConnectedIn(r, s.pool, g, res.Membership, members, threads)
-	} else {
-		oracle.CheckConnectedOn(r, s.pool, g, res.Membership, threads)
 	}
 	if prev != nil {
 		r.Checks++

@@ -1194,6 +1194,24 @@ func TestServeGateRejectsOnItsPool(t *testing.T) {
 	}
 }
 
+// TestServeGateSkipsConnectivityOnMalformedGraph: a candidate graph
+// with an arc target past the vertex count gets the csr-wellformed
+// violation. The connectivity search, which would index the labels by
+// that target, does not run on a graph the CSR check rejected.
+func TestServeGateSkipsConnectivityOnMalformedGraph(t *testing.T) {
+	s, _ := startServer(t, testConfig())
+	snap := s.Snapshot()
+	bad := snap.Graph.Clone()
+	bad.Edges[0] = uint32(bad.NumVertices() + 5)
+	_, err := s.gate(bad, snap.Result, snap)
+	if err == nil || !strings.Contains(err.Error(), "csr-wellformed") {
+		t.Fatalf("gate error %v, want a csr-wellformed violation", err)
+	}
+	if strings.Contains(err.Error(), "connectivity") {
+		t.Fatalf("gate checked connectivity on a malformed graph: %v", err)
+	}
+}
+
 // TestSnapshotMembersAreCapacityCapped: a caller appending to one
 // community's members cannot write into the next community's.
 func TestSnapshotMembersAreCapacityCapped(t *testing.T) {
