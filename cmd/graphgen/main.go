@@ -72,38 +72,14 @@ func emitCorpus(dir string, scale float64) error {
 }
 
 func build(name string, n int, seed uint64) (*graph.CSR, error) {
-	switch name {
-	case "web":
-		g, _ := gen.WebGraph(n, 20, seed)
-		return g, nil
-	case "social":
-		g, _ := gen.SocialNetwork(n, 20, 64, 0.35, seed)
-		return g, nil
-	case "road":
-		g, _ := gen.RoadNetwork(n, seed)
-		return g, nil
-	case "kmer":
-		g, _ := gen.KmerGraph(n, seed)
-		return g, nil
-	case "er":
-		return gen.ErdosRenyi(n, n*8, seed), nil
-	case "ba":
-		return gen.BarabasiAlbert(n, 8, seed), nil
-	case "rmat":
-		scale := 0
-		for 1<<scale < n {
-			scale++
-		}
-		return gen.RMAT(scale, n*8, 0, 0, 0, seed), nil
-	case "grid":
+	if name == "grid" {
 		side := 1
 		for side*side < n {
 			side++
 		}
 		return gen.Grid(side, side), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", name)
 	}
+	return gen.ByName(name, n, seed)
 }
 
 func write(g *graph.CSR, path, format string) error {

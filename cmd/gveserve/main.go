@@ -223,32 +223,8 @@ func loadOrGenerate(input, genName string, n int, seed uint64) (*graph.CSR, erro
 		}
 		return f.Graph()
 	}
-	switch genName {
-	case "web":
-		g, _ := gen.WebGraph(n, 20, seed)
-		return g, nil
-	case "social":
-		g, _ := gen.SocialNetwork(n, 20, 64, 0.35, seed)
-		return g, nil
-	case "road":
-		g, _ := gen.RoadNetwork(n, seed)
-		return g, nil
-	case "kmer":
-		g, _ := gen.KmerGraph(n, seed)
-		return g, nil
-	case "er":
-		return gen.ErdosRenyi(n, n*8, seed), nil
-	case "ba":
-		return gen.BarabasiAlbert(n, 8, seed), nil
-	case "rmat":
-		scale := 0
-		for 1<<scale < n {
-			scale++
-		}
-		return gen.RMAT(scale, n*8, 0, 0, 0, seed), nil
-	case "":
+	if genName == "" {
 		return nil, fmt.Errorf("need -i FILE or -gen NAME (web|social|road|kmer|er|ba|rmat)")
-	default:
-		return nil, fmt.Errorf("unknown generator %q", genName)
 	}
+	return gen.ByName(genName, n, seed)
 }

@@ -3,14 +3,15 @@ package core
 import (
 	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
-	"gveleiden/internal/hashtable"
 )
 
 // Deterministic mode (Options.Deterministic) trades a little speed for
 // reproducibility: the local-moving and refinement phases process one
 // graph-coloring class at a time (the Grappolo technique, related work
 // [11]), with a frozen decision kernel followed by an apply kernel per
-// class. No two adjacent vertices decide concurrently and every
+// class. A decision is the asynchronous phases' own (moveTarget,
+// refineTarget); only the order of the decisions and the state they
+// read differ. No two adjacent vertices decide concurrently and every
 // decision reads a stable snapshot, so the final membership is a pure
 // function of the graph and options — identical for any thread count —
 // whenever edge weights are integers (exact float arithmetic; with
@@ -39,16 +40,7 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 	threads, grain := ws.opt.Threads, ws.opt.Grain
 	comm := ws.comm[:n]
 	sz := ws.sizes
-	ws.flags.Resize(n)
-	if ws.frontier != nil {
-		ws.flags.SetAll(ws.opt.Pool, false, threads)
-		for _, v := range ws.frontier {
-			ws.flags.Set(int(v), true)
-		}
-		ws.frontier = nil
-	} else {
-		ws.flags.SetAll(ws.opt.Pool, true, threads)
-	}
+	ws.seedFlags(n)
 	moverCh := ws.movers // grown-once per-thread buffers, reused across passes
 	iters := 0
 	for it := 0; it < ws.opt.MaxIterations; it++ {
@@ -61,76 +53,23 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 			// can change them — different colors — and applies happen
 			// only after the barrier below).
 			ws.opt.Pool.For(len(class), threads, grain/4+1, func(lo, hi, tid int) {
-				f := &ws.flats[tid]
 				var scanned, pruned, flat, moves int64
 				for idx := lo; idx < hi; idx++ {
 					u := class[idx]
-					if !ws.opt.DisablePruning {
-						if !ws.flags.Get(int(u)) {
-							pruned++
-							continue
-						}
-						ws.flags.Set(int(u), false)
+					if ws.pruned(int(u)) {
+						pruned++
+						continue
 					}
 					scanned++
 					d := comm[u] //gvevet:exclusive frozen comm: same-class vertices are never adjacent, so no membership read here changes mid-class
-					ki := ws.k[u]
-					si := sz.vertex(u)
-					var kid, sd, nd float64
-					bestC := d
-					bestDQ := 0.0
-					bestKic := 0.0
-					if !ws.opt.DisableFlatScan && g.Degree(u) <= hashtable.FlatCap {
-						// Flat-array fast path; see moveVertexFlat. Identical
-						// choice as the hashtable path (order-independent
-						// tie-break), so determinism is unaffected.
+					ch, isFlat := ws.moveTarget(tid, g, comm, u, d, ws.k[u], sz.vertex(u))
+					if isFlat {
 						flat++
-						f.Reset()
-						es, wts := g.Neighbors(u)
-						for k, e := range es {
-							if e == u {
-								continue
-							}
-							f.Add(comm[e], float64(wts[k])) //gvevet:exclusive frozen comm: e is never in u's class, so its membership is fixed for this class round
-						}
-						kid = f.Get(d)
-						sd = ws.sigma.Get(int(d))
-						nd = sz.comm(d)
-						for i := 0; i < f.Len(); i++ {
-							c := f.Key(i)
-							if c == d {
-								continue
-							}
-							dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
-							if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
-								bestDQ = dq
-								bestC = c
-								bestKic = f.Val(i)
-							}
-						}
-					} else {
-						h := ws.table(tid, n)
-						h.Clear()
-						scanCommunities(h, g, comm, u, false)
-						kid = h.Get(d)
-						sd = ws.sigma.Get(int(d))
-						nd = sz.comm(d)
-						for _, c := range h.Keys() {
-							if c == d {
-								continue
-							}
-							dq := ws.delta(h.Get(c), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
-							if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
-								bestDQ = dq
-								bestC = c
-								bestKic = h.Get(c)
-							}
-						}
 					}
-					if bestDQ <= 0 || bestC == d {
+					if ch.dq <= 0 {
 						continue
 					}
-					moverCh[tid] = append(moverCh[tid], mover{u: u, target: bestC, kic: bestKic, kid: kid}) //gvevet:ignore hotalloc per-class mover buffer whose growth amortizes across color classes
+					moverCh[tid] = append(moverCh[tid], mover{u: u, target: ch.c, kic: ch.kic, kid: ch.kid}) //gvevet:ignore hotalloc per-class mover buffer whose growth amortizes across color classes
 					moves++
 				}
 				mc := &ws.mc[tid].V
@@ -215,7 +154,6 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 	for cls := 0; cls < col.NumColors; cls++ {
 		class := col.Class(cls)
 		ws.opt.Pool.For(len(class), threads, 64, func(lo, hi, tid int) {
-			f := &ws.flats[tid]
 			for idx := lo; idx < hi; idx++ {
 				u := class[idx]
 				c := comm[u] //gvevet:exclusive frozen comm: bounded-refine classes freeze memberships behind region barriers
@@ -223,17 +161,8 @@ func (ws *workspace) refinePhaseColored(g *graph.CSR, col *color.Coloring) int64
 				if ws.sigma.Get(int(c)) != ki {
 					continue
 				}
-				var target uint32
-				var ok bool
-				if !ws.opt.DisableFlatScan && g.Degree(u) <= hashtable.FlatCap {
-					target, ok = ws.bestBoundedFlat(g, f, bounds, comm, c, u, ki)
-				} else {
-					h := ws.table(tid, n)
-					h.Clear()
-					scanBounded(h, g, bounds, comm, u)
-					target, ok = ws.bestBounded(h, c, u, ki)
-				}
-				if !ok || target == c {
+				target, ok := ws.refineTarget(tid, g, bounds, comm, c, u, ki)
+				if !ok {
 					continue
 				}
 				moverCh[tid] = append(moverCh[tid], mover{u: u, target: target}) //gvevet:ignore hotalloc per-class mover buffer whose growth amortizes across color classes

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
 )
 
@@ -29,10 +28,6 @@ func (ws *workspace) finalRefine(g *graph.CSR) {
 	ws.vertexWeights(g, ws.k[:n])
 	ws.sizes.unit(opt, n)
 	ws.initialCommunities(n, ws.top)
-	var coloring *color.Coloring
-	if opt.Deterministic {
-		coloring = color.GreedyOn(opt.Pool, g, opt.Threads)
-	}
 	ps.Other = time.Since(t0)
 
 	// The flat partition is already near-optimal: sweep at the tight
@@ -41,15 +36,7 @@ func (ws *workspace) finalRefine(g *graph.CSR) {
 	for i := 0; i < 4; i++ {
 		tau /= opt.ToleranceDrop
 	}
-	t0 = now()
-	sp := opt.Tracer.Begin("move", 0)
-	if coloring != nil {
-		ps.MoveIterations = ws.movePhaseColored(g, tau, coloring, pass, &ps)
-	} else {
-		ps.MoveIterations = ws.movePhase(g, tau, pass, &ps)
-	}
-	sp.End()
-	ps.Move = time.Since(t0)
+	ws.localMove(g, tau, pass, &ps)
 	copy(ws.top, ws.comm[:n])
 	ws.endPass("final-refine", pass, &ps, psp)
 }

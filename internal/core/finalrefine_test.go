@@ -63,6 +63,22 @@ func TestFinalRefineRecordsExtraPass(t *testing.T) {
 	}
 }
 
+// TestFinalRefineRecordsColoring: a deterministic final refinement
+// colors the input graph before its sweeps, and the final-refine pass
+// reports that time as Color, as every other pass does, on Leiden and
+// on Louvain.
+func TestFinalRefineRecordsColoring(t *testing.T) {
+	g, _ := gen.WebGraph(1500, 10, 93)
+	opt := detOpts(2)
+	opt.FinalRefine = true
+	for name, res := range map[string]*Result{"leiden": Leiden(g, opt), "louvain": Louvain(g, opt)} {
+		last := res.Stats.Passes[len(res.Stats.Passes)-1]
+		if last.Color <= 0 {
+			t.Errorf("%s: final-refine pass Color = %v, want > 0 (Other %v)", name, last.Color, last.Other)
+		}
+	}
+}
+
 func TestFinalRefineDeterministic(t *testing.T) {
 	g, _ := gen.WebGraph(1800, 10, 97)
 	opt := detOpts(1)

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
 	"gveleiden/internal/observe"
 	"gveleiden/internal/quality"
@@ -82,24 +81,7 @@ func runLeiden(g *graph.CSR, ws *workspace) int {
 			return n // pass 0 on a graph without edges: top is the identity
 		}
 		ps.Other += time.Since(t0)
-		var coloring *color.Coloring
-		if opt.Deterministic {
-			t0 = now()
-			coloring = color.GreedyOn(opt.Pool, cur, opt.Threads)
-			ps.Color = time.Since(t0)
-		}
-
-		t0 = now()
-		sp := opt.Tracer.Begin("move", 0)
-		var li int
-		if coloring != nil {
-			li = ws.movePhaseColored(cur, tau, coloring, pass, &ps)
-		} else {
-			li = ws.movePhase(cur, tau, pass, &ps)
-		}
-		sp.End()
-		ps.MoveIterations = li
-		ps.Move = time.Since(t0)
+		li, coloring := ws.localMove(cur, tau, pass, &ps)
 
 		// A resumed run's pass 0 inherits its refined partition from the
 		// previous dendrogram (inheritUnits), which overwrites every label
@@ -115,7 +97,7 @@ func runLeiden(g *graph.CSR, ws *workspace) int {
 		ps.Other += time.Since(t0)
 
 		t0 = now()
-		sp = opt.Tracer.Begin("refine", 0)
+		sp := opt.Tracer.Begin("refine", 0)
 		var moves int64
 		switch {
 		case resume != nil:

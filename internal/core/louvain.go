@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
 	"gveleiden/internal/observe"
 )
@@ -59,24 +58,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 			return
 		}
 		ps.Other += time.Since(t0)
-		var coloring *color.Coloring
-		if opt.Deterministic {
-			t0 = now()
-			coloring = color.GreedyOn(opt.Pool, cur, opt.Threads)
-			ps.Color = time.Since(t0)
-		}
-
-		t0 = now()
-		sp := opt.Tracer.Begin("move", 0)
-		var li int
-		if coloring != nil {
-			li = ws.movePhaseColored(cur, tau, coloring, pass, &ps)
-		} else {
-			li = ws.movePhase(cur, tau, pass, &ps)
-		}
-		sp.End()
-		ps.MoveIterations = li
-		ps.Move = time.Since(t0)
+		li, _ := ws.localMove(cur, tau, pass, &ps)
 
 		comm := ws.comm[:n]
 		if li <= 1 && pass > 0 {
@@ -100,7 +82,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		}
 
 		t0 = now()
-		sp = opt.Tracer.Begin("aggregate", 0)
+		sp := opt.Tracer.Begin("aggregate", 0)
 		next, nextArcs, occ := ws.aggregate(cur, nComms)
 		ws.sizes.rollup(opt, comm, nComms)
 		sp.End()

@@ -1,10 +1,37 @@
 package core
 
 import (
+	"time"
+
+	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
 	"gveleiden/internal/hashtable"
 	"gveleiden/internal/observe"
 )
+
+// localMove runs one pass's local-moving phase on g and records it in
+// ps: in deterministic mode it colors g (timed as ps.Color) and sweeps
+// the color classes (movePhaseColored), otherwise it moves
+// asynchronously (movePhase). It returns the iterations performed and
+// the coloring, nil unless deterministic, for refinement to reuse.
+func (ws *workspace) localMove(g *graph.CSR, tau float64, pass int, ps *PassStats) (int, *color.Coloring) {
+	var col *color.Coloring
+	if ws.opt.Deterministic {
+		t0 := now()
+		col = color.GreedyOn(ws.opt.Pool, g, ws.opt.Threads)
+		ps.Color = time.Since(t0)
+	}
+	t0 := now()
+	sp := ws.opt.Tracer.Begin("move", 0)
+	if col != nil {
+		ps.MoveIterations = ws.movePhaseColored(g, tau, col, pass, ps)
+	} else {
+		ps.MoveIterations = ws.movePhase(g, tau, pass, ps)
+	}
+	sp.End()
+	ps.Move = time.Since(t0)
+	return ps.MoveIterations, col
+}
 
 // movePhase is the local-moving phase of GVE-Leiden (Algorithm 2). It
 // iteratively and asynchronously moves vertices to the neighbouring
@@ -18,49 +45,35 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 	n := g.NumVertices()
 	threads, grain := ws.opt.Threads, ws.opt.Grain
 	comm := ws.comm[:n]
-	ws.flags.Resize(n)
-	if ws.frontier != nil {
-		// Dynamic-frontier mode: only the vertices touched by the batch
-		// start unprocessed; the flags propagate outward as they move.
-		ws.flags.SetAll(ws.opt.Pool, false, threads)
-		for _, v := range ws.frontier {
-			ws.flags.Set(int(v), true)
-		}
-		ws.frontier = nil
-	} else {
-		ws.flags.SetAll(ws.opt.Pool, true, threads) // mark all vertices unprocessed
-	}
+	sz := ws.sizes
+	ws.seedFlags(n)
 	iters := 0
 	for it := 0; it < ws.opt.MaxIterations; it++ {
 		ws.zeroDQ()
 		ws.zeroMC()
 		sp := ws.opt.Tracer.Begin("move.iter", 0)
 		ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
-			f := &ws.flats[tid]
 			var local, realized float64
 			var scanned, pruned, flat, moves int64
 			for i := lo; i < hi; i++ {
-				u := uint32(i)
-				if !ws.opt.DisablePruning {
-					if !ws.flags.Get(i) {
-						pruned++
-						continue
-					}
-					ws.flags.Set(i, false) // prune: mark processed
+				if ws.pruned(i) {
+					pruned++
+					continue
 				}
 				scanned++
-				var dq, got float64
-				if !ws.opt.DisableFlatScan && g.Degree(u) <= hashtable.FlatCap {
-					dq, got = ws.moveVertexFlat(g, f, comm, u)
+				u := uint32(i)
+				d := commLoad(comm, u)
+				ki, si := ws.k[u], sz.vertex(u)
+				ch, isFlat := ws.moveTarget(tid, g, comm, u, d, ki, si)
+				if isFlat {
 					flat++
-				} else {
-					dq, got = ws.moveVertex(g, ws.table(tid, n), comm, u)
 				}
-				if dq > 0 {
-					moves++
+				if ch.dq <= 0 {
+					continue
 				}
-				local += dq
-				realized += got
+				moves++
+				local += ch.dq
+				realized += ws.applyMove(g, comm, u, d, ch.c, ki, si, ch.kic-ch.kid)
 			}
 			ws.dq[tid].V += local
 			ws.rq[tid].V += realized
@@ -82,6 +95,36 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 		}
 	}
 	return iters
+}
+
+// seedFlags starts a local-moving phase's pruning flags over n
+// vertices: in dynamic-frontier mode only the vertices touched by the
+// batch start unprocessed (the frontier is consumed here, and the flags
+// propagate outward as vertices move); otherwise every vertex does.
+func (ws *workspace) seedFlags(n int) {
+	ws.flags.Resize(n)
+	if ws.frontier == nil {
+		ws.flags.SetAll(ws.opt.Pool, true, ws.opt.Threads)
+		return
+	}
+	ws.flags.SetAll(ws.opt.Pool, false, ws.opt.Threads)
+	for _, v := range ws.frontier {
+		ws.flags.Set(int(v), true)
+	}
+	ws.frontier = nil
+}
+
+// pruned reports whether flag-based pruning skips vertex i this
+// iteration; a vertex it does not skip is marked processed.
+func (ws *workspace) pruned(i int) bool {
+	if ws.opt.DisablePruning {
+		return false
+	}
+	if !ws.flags.Get(i) {
+		return true
+	}
+	ws.flags.Set(i, false)
+	return false
 }
 
 // recordIteration folds one local-moving iteration's merged counters
@@ -113,83 +156,88 @@ func (ws *workspace) recordIteration(pass, it int, dq float64, ps *PassStats, sp
 	}
 }
 
-// moveVertex examines one vertex: scans the communities connected to it
-// (excluding the self-loop), picks the best move, and applies it
-// atomically. Returns the delta-modularity the move was chosen for and
-// the one it realized (see applyMove); (0, 0) when the vertex stays.
+// choice is one scan's decision for a vertex in community d: the
+// target community c and the gain dq of moving there, with the vertex's
+// arc weights into c (kic) and into d (kid). When no move gains, c is d
+// and dq is 0.
+type choice struct {
+	c            uint32
+	dq, kic, kid float64
+}
+
+// beatenBy reports whether a move into community c with gain dq beats
+// b: it must gain strictly more, or as much and more than zero with a
+// lower community id. The winner therefore does not depend on the order
+// the candidates arrive in, so the flat array and the dense table pick
+// the same community. This is the one decision rule of local moving
+// (Algorithm 2) and greedy refinement (Algorithm 3), asynchronous and
+// colored alike.
+func (b choice) beatenBy(dq float64, c uint32) bool {
+	return dq > b.dq || (dq == b.dq && dq > 0 && c < b.c)
+}
+
+// pickFlat returns the best move for a vertex (weighted degree ki, size
+// si) out of community d among the communities accumulated in f.
 //
 //gvevet:contract noescape
-func (ws *workspace) moveVertex(g *graph.CSR, h *hashtable.Accumulator, comm []uint32, u uint32) (float64, float64) {
-	d := commLoad(comm, u)
-	h.Clear()
-	scanCommunities(h, g, comm, u, false)
-	sz := ws.sizes
-	ki := ws.k[u]
-	si := sz.vertex(u)
-	kid := h.Get(d)
-	sd := ws.sigma.Get(int(d))
-	nd := sz.comm(d)
-	bestC := d
-	bestDQ := 0.0
+func (ws *workspace) pickFlat(f *hashtable.Flat, d uint32, ki, si float64) choice {
+	best := choice{c: d, kid: f.Get(d)}
+	sd, nd := ws.sigma.Get(int(d)), ws.sizes.comm(d)
+	for i := 0; i < f.Len(); i++ {
+		c, kic := f.Key(i), f.Val(i)
+		if c == d {
+			continue
+		}
+		if dq := ws.delta(kic, best.kid, ki, ws.sigma.Get(int(c)), sd, si, ws.sizes.comm(c), nd); best.beatenBy(dq, c) {
+			best = choice{c, dq, kic, best.kid}
+		}
+	}
+	return best
+}
+
+// pickTable is pickFlat over the dense table h.
+//
+//gvevet:contract noescape
+func (ws *workspace) pickTable(h *hashtable.Accumulator, d uint32, ki, si float64) choice {
+	best := choice{c: d, kid: h.Get(d)}
+	sd, nd := ws.sigma.Get(int(d)), ws.sizes.comm(d)
 	for _, c := range h.Keys() {
 		if c == d {
 			continue
 		}
-		dq := ws.delta(h.Get(c), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
-		if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
-			bestDQ = dq
-			bestC = c
+		kic := h.Get(c)
+		if dq := ws.delta(kic, best.kid, ki, ws.sigma.Get(int(c)), sd, si, ws.sizes.comm(c), nd); best.beatenBy(dq, c) {
+			best = choice{c, dq, kic, best.kid}
 		}
 	}
-	if bestDQ <= 0 || bestC == d {
-		return 0, 0
-	}
-	return bestDQ, ws.applyMove(g, comm, u, d, bestC, ki, si, h.Get(bestC)-kid)
+	return best
 }
 
-// moveVertexFlat is moveVertex for low-degree vertices (degree ≤
-// hashtable.FlatCap): the community-weight accumulation runs in a
-// fixed-size flat array searched linearly instead of the dense stamped
-// hashtable. A vertex of degree d touches at most d distinct
-// communities, so the gate guarantees the array never overflows; and
-// the best-community tie-break is order-independent (strictly greater
-// gain, or equal gain and lower community id, wins), so the flat path
-// picks exactly the community moveVertex would.
+// moveTarget scans the communities adjacent to u, self-loop excluded,
+// and returns u's best move out of its community d (Algorithm 2, lines
+// 17-24), reporting whether the flat array served the scan. A vertex of
+// degree ≤ hashtable.FlatCap touches at most FlatCap communities, so it
+// accumulates in thread tid's fixed-size flat array; any other vertex
+// uses the thread's dense table. Both sum each community's weight in
+// arc order, so the two paths decide alike.
 //
 //gvevet:contract noescape
-func (ws *workspace) moveVertexFlat(g *graph.CSR, f *hashtable.Flat, comm []uint32, u uint32) (float64, float64) {
-	d := commLoad(comm, u)
+func (ws *workspace) moveTarget(tid int, g *graph.CSR, comm []uint32, u, d uint32, ki, si float64) (choice, bool) {
+	if ws.opt.DisableFlatScan || g.Degree(u) > hashtable.FlatCap {
+		h := ws.table(tid, len(comm))
+		h.Clear()
+		scanCommunities(h, g, comm, u, false)
+		return ws.pickTable(h, d, ki, si), false
+	}
+	f := &ws.flats[tid]
 	f.Reset()
 	es, wts := g.Neighbors(u)
 	for k, e := range es {
-		if e == u {
-			continue
-		}
-		f.Add(commLoad(comm, e), float64(wts[k]))
-	}
-	sz := ws.sizes
-	ki := ws.k[u]
-	si := sz.vertex(u)
-	kid := f.Get(d)
-	sd := ws.sigma.Get(int(d))
-	nd := sz.comm(d)
-	bestC := d
-	bestDQ := 0.0
-	for i := 0; i < f.Len(); i++ {
-		c := f.Key(i)
-		if c == d {
-			continue
-		}
-		dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(c)), sd, si, sz.comm(c), nd)
-		if dq > bestDQ || (dq == bestDQ && dq > 0 && c < bestC) {
-			bestDQ = dq
-			bestC = c
+		if e != u {
+			f.Add(commLoad(comm, e), float64(wts[k]))
 		}
 	}
-	if bestDQ <= 0 || bestC == d {
-		return 0, 0
-	}
-	return bestDQ, ws.applyMove(g, comm, u, d, bestC, ki, si, f.Get(bestC)-kid)
+	return ws.pickFlat(f, d, ki, si), true
 }
 
 // applyMove commits the move of u from community d to bestC: updates

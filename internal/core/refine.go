@@ -26,9 +26,7 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 	sz := ws.sizes
 	greedy := ws.opt.Refinement == RefineGreedy
 	ws.zeroMoved()
-	flat := greedy && !ws.opt.DisableFlatScan
 	ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
-		f := &ws.flats[tid]
 		rng := ws.rngs[tid]
 		var local int64
 		for i := lo; i < hi; i++ {
@@ -40,19 +38,12 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 			}
 			var target uint32
 			var ok bool
-			if flat && g.Degree(u) <= hashtable.FlatCap {
-				target, ok = ws.bestBoundedFlat(g, f, bounds, comm, c, u, ki)
+			if greedy {
+				target, ok = ws.refineTarget(tid, g, bounds, comm, c, u, ki)
 			} else {
-				h := ws.table(tid, n)
-				h.Clear()
-				scanBounded(h, g, bounds, comm, u)
-				if greedy {
-					target, ok = ws.bestBounded(h, c, u, ki)
-				} else {
-					target, ok = ws.randomBounded(h, c, u, ki, rng)
-				}
+				target, ok = ws.randomTarget(tid, g, bounds, comm, c, u, ki, rng)
 			}
-			if !ok || target == c {
+			if !ok {
 				continue
 			}
 			// Claim the vertex: succeed only if still alone in c. Then
@@ -93,73 +84,47 @@ func scanBounded(h *hashtable.Accumulator, g *graph.CSR, bounds, comm []uint32, 
 	}
 }
 
-// bestBounded returns the sub-community with maximum positive
-// delta-modularity for the greedy refinement variant.
-func (ws *workspace) bestBounded(h *hashtable.Accumulator, c, u uint32, ki float64) (uint32, bool) {
-	sz := ws.sizes
-	kid := h.Get(c)
-	sd := ws.sigma.Get(int(c))
-	si := sz.vertex(u)
-	nd := sz.comm(c)
-	bestC := c
-	bestDQ := 0.0
-	for _, cand := range h.Keys() {
-		if cand == c {
-			continue
-		}
-		dq := ws.delta(h.Get(cand), kid, ki, ws.sigma.Get(int(cand)), sd, si, sz.comm(cand), nd)
-		if dq > bestDQ || (dq == bestDQ && dq > 0 && cand < bestC) {
-			bestDQ = dq
-			bestC = cand
-		}
-	}
-	return bestC, bestDQ > 0
-}
-
-// bestBoundedFlat is scanBounded plus bestBounded for a vertex of
-// degree ≤ hashtable.FlatCap, accumulating in the flat array instead of
-// the dense table, as moveVertexFlat does for local moving. The degree
-// counts the self-loop and the arcs leaving u's bound, so at most
-// FlatCap distinct sub-communities reach f. Each key's weight is summed
-// in arc order and the tie-break does not depend on key order, so the
-// pick is the one bestBounded makes.
+// refineTarget scans u's neighbours within its community bound and
+// returns the sub-community with the largest positive gain for u out of
+// its singleton c (greedy refinement, Algorithm 3 lines 12-21), and
+// whether one gains. It forks between the flat array and the dense
+// table as moveTarget does: the degree counts the self-loop and the
+// arcs leaving u's bound, so at most FlatCap sub-communities reach the
+// flat array.
 //
 //gvevet:contract noescape
-func (ws *workspace) bestBoundedFlat(g *graph.CSR, f *hashtable.Flat, bounds, comm []uint32, c, u uint32, ki float64) (uint32, bool) {
-	f.Reset()
-	es, wts := g.Neighbors(u)
-	bu := bounds[u]
-	for k, e := range es {
-		if e == u || bounds[e] != bu {
-			continue
+func (ws *workspace) refineTarget(tid int, g *graph.CSR, bounds, comm []uint32, c, u uint32, ki float64) (uint32, bool) {
+	si := ws.sizes.vertex(u)
+	var ch choice
+	if ws.opt.DisableFlatScan || g.Degree(u) > hashtable.FlatCap {
+		h := ws.table(tid, len(comm))
+		h.Clear()
+		scanBounded(h, g, bounds, comm, u)
+		ch = ws.pickTable(h, c, ki, si)
+	} else {
+		f := &ws.flats[tid]
+		f.Reset()
+		es, wts := g.Neighbors(u)
+		bu := bounds[u]
+		for k, e := range es {
+			if e != u && bounds[e] == bu {
+				f.Add(commLoad(comm, e), float64(wts[k]))
+			}
 		}
-		f.Add(commLoad(comm, e), float64(wts[k]))
+		ch = ws.pickFlat(f, c, ki, si)
 	}
-	sz := ws.sizes
-	kid := f.Get(c)
-	sd := ws.sigma.Get(int(c))
-	si := sz.vertex(u)
-	nd := sz.comm(c)
-	bestC := c
-	bestDQ := 0.0
-	for i := 0; i < f.Len(); i++ {
-		cand := f.Key(i)
-		if cand == c {
-			continue
-		}
-		dq := ws.delta(f.Val(i), kid, ki, ws.sigma.Get(int(cand)), sd, si, sz.comm(cand), nd)
-		if dq > bestDQ || (dq == bestDQ && dq > 0 && cand < bestC) {
-			bestDQ = dq
-			bestC = cand
-		}
-	}
-	return bestC, bestDQ > 0
+	return ch.c, ch.dq > 0
 }
 
-// randomBounded selects a sub-community with probability proportional
-// to its (positive) delta-modularity — the randomized refinement of the
-// original Leiden algorithm, driven by a per-thread xorshift32 stream.
-func (ws *workspace) randomBounded(h *hashtable.Accumulator, c, u uint32, ki float64, rng *prng.Xorshift32) (uint32, bool) {
+// randomTarget scans u's neighbours within its community bound into
+// thread tid's dense table and selects a sub-community with probability
+// proportional to its (positive) gain — the randomized refinement of
+// the original Leiden algorithm, driven by a per-thread xorshift32
+// stream.
+func (ws *workspace) randomTarget(tid int, g *graph.CSR, bounds, comm []uint32, c, u uint32, ki float64, rng *prng.Xorshift32) (uint32, bool) {
+	h := ws.table(tid, len(comm))
+	h.Clear()
+	scanBounded(h, g, bounds, comm, u)
 	sz := ws.sizes
 	kid := h.Get(c)
 	sd := ws.sigma.Get(int(c))

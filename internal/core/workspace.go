@@ -120,7 +120,10 @@ func newWorkspace(g *graph.CSR, opt Options) *workspace {
 // hashtable.FlatCap, sized to that level's key range, so a run whose
 // large levels all take the flat path never holds the O(T·N) tables;
 // later levels only shrink, so Resize reallocates only for the final
-// refinement's sweep over the input graph.
+// refinement's sweep over the input graph. It stays out of line so the
+// allocation does not inline into the noescape scan kernels.
+//
+//go:noinline
 func (ws *workspace) table(tid, n int) *hashtable.Accumulator {
 	h := ws.tables[tid]
 	if h == nil {

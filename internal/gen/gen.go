@@ -14,11 +14,46 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 
 	"gveleiden/internal/graph"
 	"gveleiden/internal/prng"
 )
+
+// ByName builds the graph the command-line tools generate for -gen
+// name with about n vertices: one of the four dataset classes (web,
+// social, road, kmer) or a classic model (er, ba, rmat), each with the
+// tools' fixed parameters — average degree 20 for web and social (64
+// planted communities, mixing 0.35 for social), 8n edges for er and
+// rmat (2^scale ≥ n vertices), 8 edges per new vertex for ba.
+func ByName(name string, n int, seed uint64) (*graph.CSR, error) {
+	switch name {
+	case "web":
+		g, _ := WebGraph(n, 20, seed)
+		return g, nil
+	case "social":
+		g, _ := SocialNetwork(n, 20, 64, 0.35, seed)
+		return g, nil
+	case "road":
+		g, _ := RoadNetwork(n, seed)
+		return g, nil
+	case "kmer":
+		g, _ := KmerGraph(n, seed)
+		return g, nil
+	case "er":
+		return ErdosRenyi(n, n*8, seed), nil
+	case "ba":
+		return BarabasiAlbert(n, 8, seed), nil
+	case "rmat":
+		scale := 0
+		for 1<<scale < n {
+			scale++
+		}
+		return RMAT(scale, n*8, 0, 0, 0, seed), nil
+	}
+	return nil, fmt.Errorf("unknown generator %q", name)
+}
 
 // rng is a convenience wrapper giving generators a richer sampling
 // toolkit on top of the xorshift32 core.

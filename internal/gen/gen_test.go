@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"gveleiden/internal/graph"
@@ -115,6 +116,37 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 		if !diff {
 			t.Fatal("different seeds produced identical graphs")
+		}
+	}
+}
+
+// TestByName: each name builds the graph of its generator with the
+// command-line tools' parameters, and an unknown or empty name is an
+// error.
+func TestByName(t *testing.T) {
+	const n, seed = 500, 7
+	web, _ := WebGraph(n, 20, seed)
+	social, _ := SocialNetwork(n, 20, 64, 0.35, seed)
+	road, _ := RoadNetwork(n, seed)
+	kmer, _ := KmerGraph(n, seed)
+	want := map[string]*graph.CSR{
+		"web": web, "social": social, "road": road, "kmer": kmer,
+		"er":   ErdosRenyi(n, n*8, seed),
+		"ba":   BarabasiAlbert(n, 8, seed),
+		"rmat": RMAT(9, n*8, 0, 0, 0, seed),
+	}
+	for name, w := range want {
+		g, err := ByName(name, n, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(g.Offsets, w.Offsets) || !slices.Equal(g.Edges, w.Edges) || !slices.Equal(g.Weights, w.Weights) {
+			t.Errorf("%s: ByName built a different graph", name)
+		}
+	}
+	for _, name := range []string{"", "grid", "Web"} {
+		if _, err := ByName(name, n, seed); err == nil || err.Error() != "unknown generator \""+name+"\"" {
+			t.Errorf("ByName(%q) error = %v", name, err)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (lc *LevelChecks) Inspector() core.LevelInspector {
 		lc.Levels++
 		where := fmt.Sprintf("%s pass %d", ev.Algorithm, ev.Pass)
 		Scoped(lc.R, where, func() {
-			CheckPartition(lc.R, ev.Graph, ev.Refined, true)
+			valid := checkPartition(lc.R, ev.Graph, ev.Refined, true)
 			maxLabel := uint32(0)
 			for _, c := range ev.Refined {
 				if c > maxLabel {
@@ -49,7 +49,9 @@ func (lc *LevelChecks) Inspector() core.LevelInspector {
 				// Leiden's refinement must leave every refined community
 				// connected within the level graph; Louvain (Move == nil)
 				// makes no such promise.
-				CheckConnected(lc.R, ev.Graph, ev.Refined, lc.Threads)
+				if valid {
+					CheckConnected(lc.R, ev.Graph, ev.Refined, lc.Threads)
+				}
 			}
 			CheckCSROn(lc.R, nil, ev.Aggregated, lc.Threads)
 			lc.R.Checks++
@@ -80,10 +82,10 @@ func (lc *LevelChecks) Attach(opt core.Options) core.Options {
 
 // CheckRun performs the whole-run checks on a finished result: final
 // partition validity and density, the community count, and — for
-// Leiden — connectivity of every final community on the input graph.
+// Leiden, once the membership is a valid partition — connectivity of
+// every final community on the input graph.
 func CheckRun(r *Report, g *graph.CSR, res *core.Result, leiden bool, threads int) {
-	CheckPartition(r, g, res.Membership, true)
-	if leiden {
+	if checkPartition(r, g, res.Membership, true) && leiden {
 		CheckConnected(r, g, res.Membership, threads)
 	}
 	r.Checks++

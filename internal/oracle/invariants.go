@@ -16,13 +16,20 @@ import (
 // some k — the contract of every renumbered partition the algorithms
 // emit.
 func CheckPartition(r *Report, g *graph.CSR, membership []uint32, dense bool) {
+	checkPartition(r, g, membership, dense)
+}
+
+// checkPartition is CheckPartition reporting whether membership holds
+// one label in [0, n) per vertex, which the connectivity checks need
+// before they may index by it.
+func checkPartition(r *Report, g *graph.CSR, membership []uint32, dense bool) bool {
 	r.Checks++
 	if err := quality.ValidatePartition(g, membership); err != nil {
 		r.addf("partition-validity", "%v", err)
-		return
+		return false
 	}
 	if !dense || len(membership) == 0 {
-		return
+		return true
 	}
 	max := uint32(0)
 	for _, c := range membership {
@@ -37,9 +44,10 @@ func CheckPartition(r *Report, g *graph.CSR, membership []uint32, dense bool) {
 	for c, ok := range seen {
 		if !ok {
 			r.addf("partition-validity", "labels not dense: %d unused but %d present", c, max)
-			return
+			break
 		}
 	}
+	return true
 }
 
 // CheckRefinement verifies Algorithm 3's containment invariant: every

@@ -200,6 +200,38 @@ func TestCheckRunCatchesWrongCommunityCount(t *testing.T) {
 	}
 }
 
+// TestChecksRejectShortMembership: a membership shorter than the graph
+// must be reported as a partition-validity violation by the whole-run
+// and the per-level checks, without running the connectivity check,
+// which indexes the graph's vertices by it.
+func TestChecksRejectShortMembership(t *testing.T) {
+	g := gen.Path(10)
+	short := []uint32{0, 0, 0, 1, 1}
+	wantInvalid := func(what string, r *Report) {
+		t.Helper()
+		if len(r.Violations) == 0 || r.Violations[0].Invariant != "partition-validity" {
+			t.Fatalf("%s: want a partition-validity violation first, got %v", what, r.Violations)
+		}
+		for _, v := range r.Violations {
+			if v.Invariant == "connectivity" {
+				t.Fatalf("%s: connectivity checked on an invalid partition: %v", what, v)
+			}
+		}
+	}
+	var r Report
+	CheckRun(&r, g, &core.Result{Membership: short, NumCommunities: 2}, true, 2)
+	wantInvalid("CheckRun", &r)
+
+	ab := graph.NewBuilder(2)
+	ab.AddEdge(0, 1, 9)
+	lc := &LevelChecks{R: &Report{}, Threads: 2}
+	lc.Inspector()(core.LevelEvent{
+		Algorithm: "leiden", Graph: g, Move: short, Refined: short,
+		Communities: 2, Aggregated: ab.Build(),
+	})
+	wantInvalid("LevelChecks", lc.R)
+}
+
 func TestLevelChecksCatchPlantedViolation(t *testing.T) {
 	g, _ := gen.SocialNetwork(800, 8, 8, 0.2, 1)
 	lc := &LevelChecks{R: &Report{}, Threads: 2}
