@@ -3,8 +3,10 @@
 package gveleiden_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gveleiden"
@@ -137,5 +139,63 @@ func TestPublicAPIOptionKnobs(t *testing.T) {
 	if res.NumCommunities < 1 || res.Modularity < 0.3 {
 		t.Fatalf("knob combination broke detection: |Γ|=%d Q=%.3f",
 			res.NumCommunities, res.Modularity)
+	}
+}
+
+// TestPublicAPIMalformedGraph: NewServer and ApplyDelta return the
+// layout error for a graph whose offsets, edges, weights or holey
+// counts do not fit together, where both used to panic. A valid holey
+// graph still loads, and an arc target past the vertex count still
+// grows the graph.
+func TestPublicAPIMalformedGraph(t *testing.T) {
+	cfg := gveleiden.DefaultServeConfig()
+	cfg.Options.Threads = 2
+	for _, tc := range []struct {
+		name string
+		g    *gveleiden.Graph
+		want string
+	}{
+		{"empty", &gveleiden.Graph{}, "offsets array must have length ≥ 1"},
+		{"offsets not monotone", &gveleiden.Graph{Offsets: []uint32{0, 2, 1, 2}, Edges: []uint32{1, 0}, Weights: []float32{1, 1}}, "offsets not monotone at vertex 1"},
+		{"final offset past storage", &gveleiden.Graph{Offsets: []uint32{0, 1, 5}, Edges: []uint32{1, 0}, Weights: []float32{1, 1}}, "final offset 5 exceeds edge storage 2"},
+		{"weights short", &gveleiden.Graph{Offsets: []uint32{0, 1, 2}, Edges: []uint32{1, 0}, Weights: []float32{1}}, "edges/weights length mismatch: 2 vs 1"},
+		{"holey count past slot", &gveleiden.Graph{Offsets: []uint32{0, 1, 2}, Edges: []uint32{1, 0}, Weights: []float32{1, 1}, Counts: []uint32{3, 1}}, "holey count overflows slot of vertex 0"},
+	} {
+		if _, err := gveleiden.ApplyDelta(tc.g, gveleiden.Delta{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ApplyDelta error %v, want %q", tc.name, err, tc.want)
+		}
+		s, err := gveleiden.NewServer(tc.g, cfg)
+		if err == nil {
+			s.Close(context.Background())
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewServer error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		g        *gveleiden.Graph
+		vertices int
+	}{
+		// Edge {0,1} with a junk slot after each row.
+		{"holey", &gveleiden.Graph{Offsets: []uint32{0, 2, 4}, Edges: []uint32{1, 7, 0, 7}, Weights: []float32{1, 0, 1, 0}, Counts: []uint32{1, 1}}, 2},
+		// Arc (0,5) on a 2-vertex graph: the upper triangle grows it to 6.
+		{"target past the end", &gveleiden.Graph{Offsets: []uint32{0, 1, 1}, Edges: []uint32{5}, Weights: []float32{1}}, 6},
+	} {
+		g, err := gveleiden.ApplyDelta(tc.g, gveleiden.Delta{})
+		if err != nil || g.NumVertices() != tc.vertices || g.NumUndirectedEdges() != 1 {
+			t.Fatalf("%s: ApplyDelta gave %v, %v; want %d vertices and one edge", tc.name, g, err, tc.vertices)
+		}
+		s, err := gveleiden.NewServer(tc.g, cfg)
+		if err != nil {
+			t.Fatalf("%s: NewServer: %v", tc.name, err)
+		}
+		if n := s.Snapshot().Graph.NumVertices(); n != tc.vertices {
+			t.Errorf("%s: the server serves %d vertices, want %d", tc.name, n, tc.vertices)
+		}
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

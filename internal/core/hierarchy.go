@@ -39,6 +39,10 @@ type Hierarchy struct {
 	inherited bool
 }
 
+// Inherited reports whether h is a resumed run's dendrogram, whose
+// Levels[0] holds the units the run inherited.
+func (h *Hierarchy) Inherited() bool { return h.inherited }
+
 // Depth returns the number of levels.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 

@@ -109,9 +109,10 @@ func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletio
 
 // ApplyDelta returns a new graph with the given batch of edge updates
 // applied to g under the unified delta semantics above (the weight
-// field of a deletion is ignored). A batch that names a missing or
-// duplicate deletion, or carries a non-finite weight, returns an error
-// and no graph. g is never written.
+// field of a deletion is ignored). A g whose layout is malformed
+// (ValidateShapeOn), or a batch that names a missing or duplicate
+// deletion or carries a non-finite weight, returns an error and no
+// graph. g is never written.
 //
 // This is the snapshot-update primitive behind the dynamic Leiden
 // variants (core.LeidenDynamic): batch updates between runs, warm-start
@@ -121,6 +122,9 @@ func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletio
 // stream.Graph's FromCSR, Apply and Snapshot yield the same CSR, or the
 // same error, for the same g and batch.
 func ApplyDelta(g *CSR, insertions, deletions []Edge) (*CSR, error) {
+	if err := g.ValidateShapeOn(nil, 1); err != nil {
+		return nil, err
+	}
 	base, _ := Canonical(g)
 	touched, err := EvaluateDelta(base.FindArc, insertions, deletions)
 	if err != nil {
@@ -140,7 +144,8 @@ func ApplyDelta(g *CSR, insertions, deletions []Edge) (*CSR, error) {
 // cancels the pair, and a non-finite weight or an overflowing sum is
 // skipped. A mirror arc (j,i), j > i, is never read, so an asymmetric g
 // yields its upper triangle, and a target id past the vertex count
-// grows it.
+// grows it. g must pass ValidateShapeOn; Canonical reads its rows
+// unchecked.
 func Canonical(g *CSR) (*CSR, int64) {
 	if edges, ok := isCanonical(g); ok {
 		return g, edges

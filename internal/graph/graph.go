@@ -185,33 +185,13 @@ const checkGrain = 512
 // smallest vertex that fails it, so the verdict and the error text are
 // Validate's at every thread count.
 func (g *CSR) ValidateOn(p *parallel.Pool, threads int) error {
-	n := g.NumVertices()
-	if n < 0 {
-		return errors.New("graph: offsets array must have length ≥ 1")
-	}
-	if len(g.Edges) != len(g.Weights) {
-		return fmt.Errorf("graph: edges/weights length mismatch: %d vs %d", len(g.Edges), len(g.Weights))
+	if err := g.ValidateShapeOn(p, threads); err != nil {
+		return err
 	}
 	if p == nil {
 		p = parallel.Default()
 	}
-	off, counts := g.Offsets, g.Counts
-	if i := parallel.FirstOn(p, n, threads, checkGrain, func(lo, hi, _ int) int {
-		for i := lo; i < hi; i++ {
-			if off[i] > off[i+1] || (counts != nil && off[i]+counts[i] > off[i+1]) {
-				return i
-			}
-		}
-		return hi
-	}); i < n {
-		if off[i] > off[i+1] {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d", i)
-		}
-		return fmt.Errorf("graph: holey count overflows slot of vertex %d", i)
-	}
-	if int(off[n]) > len(g.Edges) {
-		return fmt.Errorf("graph: final offset %d exceeds edge storage %d", off[n], len(g.Edges))
-	}
+	n := g.NumVertices()
 	outside := func(i int) int {
 		es, _ := g.Neighbors(uint32(i))
 		for k, e := range es {
@@ -232,8 +212,50 @@ func (g *CSR) ValidateOn(p *parallel.Pool, threads int) error {
 		es, _ := g.Neighbors(uint32(i))
 		return fmt.Errorf("graph: arc (%d,%d) target out of range (n=%d)", i, es[outside(i)], n)
 	}
-	if counts == nil {
+	if g.Counts == nil {
 		return g.SymmetryOn(p, threads)
+	}
+	return nil
+}
+
+// ValidateShapeOn checks the layout that reading any row of g relies
+// on, without reading an arc: an offsets array of length ≥ 1, as many
+// weights as edges, one holey count per vertex, monotone offsets,
+// holey counts within their slots, and a final offset within the edge
+// storage. Neighbors cannot go out of bounds on a g that passes. It
+// runs on pool p (nil = the default pool) with up to threads
+// participants, names the smallest failing vertex, and gives the text
+// Validate gives for the same fault.
+func (g *CSR) ValidateShapeOn(p *parallel.Pool, threads int) error {
+	n := g.NumVertices()
+	if n < 0 {
+		return errors.New("graph: offsets array must have length ≥ 1")
+	}
+	if len(g.Edges) != len(g.Weights) {
+		return fmt.Errorf("graph: edges/weights length mismatch: %d vs %d", len(g.Edges), len(g.Weights))
+	}
+	off, counts := g.Offsets, g.Counts
+	if counts != nil && len(counts) != n {
+		return fmt.Errorf("graph: %d holey counts for %d vertices", len(counts), n)
+	}
+	if p == nil {
+		p = parallel.Default()
+	}
+	if i := parallel.FirstOn(p, n, threads, checkGrain, func(lo, hi, _ int) int {
+		for i := lo; i < hi; i++ {
+			if off[i] > off[i+1] || (counts != nil && uint64(off[i])+uint64(counts[i]) > uint64(off[i+1])) {
+				return i
+			}
+		}
+		return hi
+	}); i < n {
+		if off[i] > off[i+1] {
+			return fmt.Errorf("graph: offsets not monotone at vertex %d", i)
+		}
+		return fmt.Errorf("graph: holey count overflows slot of vertex %d", i)
+	}
+	if int(off[n]) > len(g.Edges) {
+		return fmt.Errorf("graph: final offset %d exceeds edge storage %d", off[n], len(g.Edges))
 	}
 	return nil
 }

@@ -50,6 +50,14 @@ type RunRecord struct {
 	// Check records the oracle self-check outcome: "" when no check
 	// ran, "passed", or "failed: <reason>".
 	Check string `json:"check,omitempty"`
+	// Resumed marks a run that resumed from the previous dendrogram's
+	// units (core.LeidenDynamicFrom) rather than refining pass 0 from
+	// singletons.
+	Resumed bool `json:"resumed"`
+	// CSRCheck names how a server swap's gate verified the candidate's
+	// graph: "inductive" from the published graph the merge read, or
+	// "full"; "" when the gate did not run.
+	CSRCheck string `json:"csr_check,omitempty"`
 }
 
 // FlightRecorder keeps the last N run records in a preallocated ring:

@@ -139,6 +139,21 @@ const (
 
 var stageNames = [numStages]string{"snapshot", "run", "gate", "index"}
 
+// attempt is what one swap got through, for its flight record.
+type attempt struct {
+	res   *core.Result             // the run's result; nil when the run panicked
+	h     *core.Hierarchy          // the run's dendrogram; nil when the run panicked
+	check string                   // the gate's CSR check; "" when the gate did not run
+	took  [numStages]time.Duration // stage times; zero for the stages not reached
+}
+
+// The CSR checks the gate chooses between, as the flight record and
+// the swap log name them.
+const (
+	csrFull      = "full"
+	csrInductive = "inductive"
+)
+
 // endpoints are the instrumented handler names, fixed at construction
 // so the latency/request maps are never mutated after New.
 var endpoints = []string{
@@ -155,7 +170,8 @@ var endpoints = []string{
 // pairs of weight ≤ 0 and summing parallel arcs. A canonical g is
 // that snapshot itself, adopted without a copy; the server takes it
 // over, so the caller must not modify it afterwards, and the server
-// never does.
+// never does. A g whose layout is malformed
+// (graph.CSR.ValidateShapeOn) returns its error.
 func New(g *graph.CSR, cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 100_000
@@ -189,30 +205,34 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 		s.stages[i] = observe.NewHistogram()
 	}
 
-	var took [numStages]time.Duration
+	var a attempt
 	t := time.Now()
+	if err := g.ValidateShapeOn(s.pool, cfg.Options.Threads); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s.sg = stream.FromCSR(g)
 	g = s.sg.SnapshotOn(s.pool, cfg.Options.Threads)
-	took[stageSnapshot] = time.Since(t)
+	a.took[stageSnapshot] = time.Since(t)
 	opt := s.runOptions()
 	start := time.Now()
-	res, h := core.LeidenHierarchy(g, opt)
-	took[stageRun] = time.Since(start)
+	a.res, a.h = core.LeidenHierarchy(g, opt)
+	a.took[stageRun] = time.Since(start)
 	t = time.Now()
-	members, err := s.gate(g, res, nil)
+	members, check, err := s.gate(g, stream.Merge{}, a.res, nil)
 	if err != nil {
 		return nil, fmt.Errorf("serve: initial run failed the oracle gate: %w", err)
 	}
-	took[stageGate] = time.Since(t)
+	a.check = check
+	a.took[stageGate] = time.Since(t)
 	t = time.Now()
-	snap := newSnapshot(g, s.sg.NumEdges(), res, h, members, 1, false)
-	took[stageIndex] = time.Since(t)
+	snap := newSnapshot(g, s.sg.NumEdges(), a.res, a.h, members, 1, false)
+	a.took[stageIndex] = time.Since(t)
 	s.snap.Store(snap)
 	s.recomputes.Add(1)
 	s.lat["recompute_run"].ObserveDuration(time.Since(start))
-	s.observeStages(took)
-	s.recordRun("serve-initial", res, g, start, took, "passed")
-	s.logSwap(snap, time.Since(start))
+	s.observeStages(a.took)
+	s.recordRun("serve-initial", g, start, a, "passed")
+	s.logSwap(snap, check, time.Since(start))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
@@ -331,11 +351,11 @@ func (s *Server) worker(ctx context.Context) {
 // index build counts as a rejection too (see candidate), so the
 // published snapshot keeps serving and no ingested delta is lost.
 func (s *Server) recompute() {
-	var took [numStages]time.Duration
+	var a attempt
 	s.mu.Lock()
 	t := time.Now()
-	g := s.sg.SnapshotOn(s.pool, s.cfg.Options.Threads)
-	took[stageSnapshot] = time.Since(t)
+	g, merged := s.sg.SnapshotMerge(s.pool, s.cfg.Options.Threads)
+	a.took[stageSnapshot] = time.Since(t)
 	edges := s.sg.NumEdges()
 	ins, del := s.pendingIns, s.pendingDel
 	s.taken = taken{ins: len(ins), del: len(del), at: s.queuedAt}
@@ -344,7 +364,7 @@ func (s *Server) recompute() {
 
 	prev := s.snap.Load()
 	start := time.Now()
-	res, next, err := s.candidate(g, edges, core.Delta{Insertions: ins, Deletions: del}, prev, &took)
+	next, err := s.candidate(g, merged, edges, core.Delta{Insertions: ins, Deletions: del}, prev, &a)
 	if err != nil {
 		// Re-queue the consumed delta ahead of anything ingested while
 		// the run was in flight.
@@ -363,7 +383,7 @@ func (s *Server) recompute() {
 		if errors.As(err, new(recovered)) {
 			check = err.Error()
 		}
-		s.recordRun("serve-recompute", res, g, start, took, check)
+		s.recordRun("serve-recompute", g, start, a, check)
 		// Counted last: a caller that sees the count sees the rest.
 		s.rejections.Add(1)
 		s.logger.Warn("recompute rejected",
@@ -377,9 +397,9 @@ func (s *Server) recompute() {
 	s.snap.Store(next)
 	s.mu.Unlock()
 	s.recomputes.Add(1)
-	s.observeStages(took)
-	s.recordRun("serve-recompute", res, g, start, took, "passed")
-	s.logSwap(next, took[stageRun])
+	s.observeStages(a.took)
+	s.recordRun("serve-recompute", g, start, a, "passed")
+	s.logSwap(next, a.check, a.took[stageRun])
 }
 
 // recovered is a panic that candidate turned into a rejection; its text
@@ -388,16 +408,16 @@ type recovered struct{ value any }
 
 func (r recovered) Error() string { return fmt.Sprintf("panic: %v", r.value) }
 
-// candidate runs the warm detection on g, resumed from prev's
-// dendrogram (core.LeidenDynamicFrom), gates the result and builds
-// the snapshot that would replace prev, timing each stage into took. It
-// returns the run's result (nil when the run panicked) and either the
-// snapshot or the reason there is none: the gate's error, or a
-// recovered panic. Panics raised by the run are recovered, including
-// those raised on pool worker goroutines: the pool re-raises a region's
-// first panic on this goroutine once every participant has left the
-// region.
-func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Snapshot, took *[numStages]time.Duration) (res *core.Result, next *Snapshot, err error) {
+// candidate runs the warm detection on g, built by merged, resumed
+// from prev's dendrogram (core.LeidenDynamicFrom), gates the result
+// and builds the snapshot that would replace prev, recording in a the
+// run's result and dendrogram, the gate's CSR check and each stage's
+// time. It returns either the snapshot or the reason there is none:
+// the gate's error, or a recovered panic. Panics raised by the run are
+// recovered, including those raised on pool worker goroutines: the
+// pool re-raises a region's first panic on this goroutine once every
+// participant has left the region.
+func (s *Server) candidate(g *graph.CSR, merged stream.Merge, edges int64, delta core.Delta, prev *Snapshot, a *attempt) (next *Snapshot, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			next, err = nil, recovered{v}
@@ -406,9 +426,9 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 		}
 	}()
 	start := time.Now()
-	res, h := core.LeidenDynamicFrom(g, prev.Result.Membership, prev.Hierarchy, delta, s.cfg.Mode, s.runOptions())
-	took[stageRun] = time.Since(start)
-	s.lat["recompute_run"].ObserveDuration(took[stageRun])
+	a.res, a.h = core.LeidenDynamicFrom(g, prev.Result.Membership, prev.Hierarchy, delta, s.cfg.Mode, s.runOptions())
+	a.took[stageRun] = time.Since(start)
+	s.lat["recompute_run"].ObserveDuration(a.took[stageRun])
 
 	// The run's workspace is garbage now (45 MB on a 5×10⁵-vertex k-mer
 	// graph). Collect it before the gate and the index allocate their
@@ -421,15 +441,16 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 	runtime.GC()
 
 	t := time.Now()
-	members, err := s.gate(g, res, prev)
+	members, check, err := s.gate(g, merged, a.res, prev)
+	a.check = check
 	if err != nil {
-		return res, nil, err
+		return nil, err
 	}
-	took[stageGate] = time.Since(t)
+	a.took[stageGate] = time.Since(t)
 	t = time.Now()
-	next = newSnapshot(g, edges, res, h, members, prev.Version+1, true)
-	took[stageIndex] = time.Since(t)
-	return res, next, nil
+	next = newSnapshot(g, edges, a.res, a.h, members, prev.Version+1, true)
+	a.took[stageIndex] = time.Since(t)
+	return next, nil
 }
 
 // gate runs the invariant suite on a candidate, on the server's pool:
@@ -439,11 +460,26 @@ func (s *Server) candidate(g *graph.CSR, edges int64, delta core.Delta, prev *Sn
 // Connectivity is checked only once the CSR and partition checks
 // pass, since its search walks the arcs and labels they vouch for. A
 // candidate that passes gets the members index its connectivity was
-// checked through, for the snapshot to serve.
-func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) (quality.Members, error) {
+// checked through, for the snapshot to serve. The gate also returns
+// the CSR check it ran.
+//
+// The CSR check is inductive (oracle.CheckCSRFrom) when merged, the
+// merge that built g, read prev's graph: that graph passed this gate
+// and is never written, so g is verified from it, comparing the rows
+// the merge copied and re-merging the rows it touched. Every other g
+// gets the full check (oracle.CheckCSROn): the first snapshot, which
+// has no prev; the first candidate after a rejection, whose merge read
+// the rejected graph the stream kept as its base; and a holey graph.
+func (s *Server) gate(g *graph.CSR, merged stream.Merge, res *core.Result, prev *Snapshot) (quality.Members, string, error) {
 	r := &oracle.Report{}
 	threads := s.cfg.Options.Threads
-	oracle.CheckCSROn(r, s.pool, g, threads)
+	check := csrFull
+	if prev != nil && merged.Base == prev.Graph && merged.Base.Counts == nil && g.Counts == nil {
+		check = csrInductive
+		oracle.CheckCSRFrom(r, s.pool, g, merged.Base, merged.States, threads)
+	} else {
+		oracle.CheckCSROn(r, s.pool, g, threads)
+	}
 	oracle.CheckPartition(r, g, res.Membership, true)
 	var members quality.Members
 	if r.Ok() {
@@ -461,7 +497,7 @@ func (s *Server) gate(g *graph.CSR, res *core.Result, prev *Snapshot) (quality.M
 			})
 		}
 	}
-	return members, r.Err()
+	return members, check, r.Err()
 }
 
 // observeStages records the stage times of one published swap, so
@@ -472,11 +508,10 @@ func (s *Server) observeStages(took [numStages]time.Duration) {
 	}
 }
 
-// recordRun writes the flight record of one run with the times of the
-// stages it got through (took's zero entries are the stages it did not
-// reach); res is nil for a run that panicked, which records only the
-// graph, the stage times and the check.
-func (s *Server) recordRun(algo string, res *core.Result, g *graph.CSR, start time.Time, took [numStages]time.Duration, check string) {
+// recordRun writes the flight record of one swap attempt with the
+// stages it got through; a run that panicked records only the graph,
+// the stage times and the check.
+func (s *Server) recordRun(algo string, g *graph.CSR, start time.Time, a attempt, check string) {
 	rec := observe.RunRecord{
 		Algorithm:       algo,
 		Start:           start,
@@ -484,13 +519,15 @@ func (s *Server) recordRun(algo string, res *core.Result, g *graph.CSR, start ti
 		Vertices:        g.NumVertices(),
 		Arcs:            g.NumArcs(),
 		Threads:         s.cfg.Options.Threads,
-		SnapshotSeconds: took[stageSnapshot].Seconds(),
-		RunSeconds:      took[stageRun].Seconds(),
-		GateSeconds:     took[stageGate].Seconds(),
-		IndexSeconds:    took[stageIndex].Seconds(),
+		SnapshotSeconds: a.took[stageSnapshot].Seconds(),
+		RunSeconds:      a.took[stageRun].Seconds(),
+		GateSeconds:     a.took[stageGate].Seconds(),
+		IndexSeconds:    a.took[stageIndex].Seconds(),
 		Check:           check,
+		Resumed:         a.h != nil && a.h.Inherited(),
+		CSRCheck:        a.check,
 	}
-	if res != nil {
+	if res := a.res; res != nil {
 		for _, ps := range res.Stats.Passes {
 			rec.DeltaQ += ps.DeltaQ
 		}
@@ -505,10 +542,12 @@ func (s *Server) recordRun(algo string, res *core.Result, g *graph.CSR, start ti
 	observe.LogRun(s.logger, s.tel.RecordRun(rec))
 }
 
-func (s *Server) logSwap(snap *Snapshot, elapsed time.Duration) {
+func (s *Server) logSwap(snap *Snapshot, csrCheck string, elapsed time.Duration) {
 	s.logger.Info("snapshot published",
 		slog.Uint64("version", snap.Version),
 		slog.Bool("warm", snap.Warm),
+		slog.Bool("resumed", snap.Hierarchy.Inherited()),
+		slog.String("csr_check", csrCheck),
 		slog.Int("vertices", snap.Graph.NumVertices()),
 		slog.Int64("edges", snap.edges),
 		slog.Int("communities", snap.Result.NumCommunities),

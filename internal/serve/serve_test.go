@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -20,7 +23,9 @@ import (
 	"gveleiden/internal/gen"
 	"gveleiden/internal/graph"
 	"gveleiden/internal/observe"
+	"gveleiden/internal/oracle"
 	"gveleiden/internal/parallel"
+	"gveleiden/internal/stream"
 )
 
 func testConfig() Config {
@@ -490,7 +495,7 @@ func TestServeGateRejectsCorruptPartition(t *testing.T) {
 		Membership:     make([]uint32, g.NumVertices()),
 		NumCommunities: 2, // labels are all 0 — not dense in [0,2)
 	}
-	if _, err := s.gate(g, res, s.Snapshot()); err == nil {
+	if _, _, err := s.gate(g, stream.Merge{}, res, s.Snapshot()); err == nil {
 		t.Fatal("gate accepted a corrupt partition")
 	}
 }
@@ -1184,7 +1189,7 @@ func TestServeGateRejectsOnItsPool(t *testing.T) {
 		{"non-dense labels", g, candidate(gaps), "partition-validity: labels not dense"},
 	} {
 		before := pool.Counters().Regions
-		_, err := s.gate(tc.g, tc.res, snap)
+		_, _, err := s.gate(tc.g, stream.Merge{}, tc.res, snap)
 		if err == nil || !strings.Contains(err.Error(), tc.invariant) {
 			t.Fatalf("%s: gate error %v, want %q", tc.name, err, tc.invariant)
 		}
@@ -1203,7 +1208,7 @@ func TestServeGateSkipsConnectivityOnMalformedGraph(t *testing.T) {
 	snap := s.Snapshot()
 	bad := snap.Graph.Clone()
 	bad.Edges[0] = uint32(bad.NumVertices() + 5)
-	_, err := s.gate(bad, snap.Result, snap)
+	_, _, err := s.gate(bad, stream.Merge{}, snap.Result, snap)
 	if err == nil || !strings.Contains(err.Error(), "csr-wellformed") {
 		t.Fatalf("gate error %v, want a csr-wellformed violation", err)
 	}
@@ -1226,5 +1231,175 @@ func TestSnapshotMembersAreCapacityCapped(t *testing.T) {
 	_ = append(first, ^uint32(0))
 	if got, _ := snap.Members(1); !slices.Equal(got, want) {
 		t.Fatalf("community 1 changed after an append to community 0: %v, want %v", got, want)
+	}
+}
+
+// syncBuffer is a bytes.Buffer a logger and a test can share.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// lines returns the JSON log records with the given message.
+func (b *syncBuffer) lines(t *testing.T, msg string) []map[string]any {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(b.buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["msg"] == msg {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// flightRecords returns the flight records once the recorder holds
+// want of them.
+func flightRecords(t *testing.T, s *Server, want uint64) []observe.RunRecord {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Telemetry().Flight().Total() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("flight recorder holds %d records, want %d", s.Telemetry().Flight().Total(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return s.Telemetry().Flight().Records()
+}
+
+// TestServeFlightRecordsSwapKind: every flight record and every
+// "snapshot published" log line says whether the swap's run resumed
+// from the published dendrogram and how the gate checked its graph.
+// The first snapshot has no gated graph to induct from and gets the
+// full check; over the next four swaps the runs alternate resumed and
+// full, and every merge read the published graph, so every graph is
+// checked by induction.
+func TestServeFlightRecordsSwapKind(t *testing.T) {
+	var log syncBuffer
+	cfg := testConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(&log, nil))
+	s, c := startServer(t, cfg)
+	driveSwaps(t, c, uint32(s.Snapshot().Graph.NumVertices()), 4)
+	recs := flightRecords(t, s, 5)
+	published := log.lines(t, "snapshot published")
+	if len(recs) != 5 || len(published) != 5 {
+		t.Fatalf("%d flight records and %d published logs, want 5 of each", len(recs), len(published))
+	}
+	for i, r := range recs {
+		wantCheck, wantResumed := csrInductive, i%2 == 1
+		if i == 0 {
+			wantCheck = csrFull
+		}
+		if r.CSRCheck != wantCheck || r.Resumed != wantResumed || r.Check != "passed" {
+			t.Fatalf("swap %d: csr_check %q, resumed %v, check %q; want %q, %v, passed", i, r.CSRCheck, r.Resumed, r.Check, wantCheck, wantResumed)
+		}
+		if l := published[i]; l["csr_check"] != wantCheck || l["resumed"] != wantResumed {
+			t.Fatalf("swap %d: logged %v, want csr_check %q and resumed %v", i, l, wantCheck, wantResumed)
+		}
+	}
+	if rec := newestFlightRecord(t, s, c, 5); rec["csr_check"] != csrInductive || rec["resumed"] != false {
+		t.Fatalf("/debug/flight newest record %v", rec)
+	}
+}
+
+// TestServeFullCheckAfterRejection: the stream keeps a refused
+// candidate's merge as its base, so the next candidate's merge did not
+// read the published graph. Its graph gets the full check; the swap
+// after it, whose merge read the graph that check passed, is checked by
+// induction again. The refused run panicked before the gate, so its
+// record names no CSR check.
+func TestServeFullCheckAfterRejection(t *testing.T) {
+	obs := &panickyObserver{}
+	cfg := testConfig()
+	cfg.Options.Observer = obs
+	s, c := startServer(t, cfg)
+	n0 := uint32(s.Snapshot().Graph.NumVertices())
+	obs.armed.Store(true)
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitRejections(t, s, 1)
+	obs.armed.Store(false)
+	s.Kick()
+	waitVersion(t, c, 2)
+	driveSwaps(t, c, n0, 1)
+	recs := flightRecords(t, s, 4)
+	for i, want := range []struct{ check, csr string }{
+		{"passed", csrFull}, {"panic: injected observer panic", ""}, {"passed", csrFull}, {"passed", csrInductive},
+	} {
+		if r := recs[i]; r.Check != want.check || r.CSRCheck != want.csr {
+			t.Fatalf("record %d: check %q, csr_check %q; want %q, %q", i, r.Check, r.CSRCheck, want.check, want.csr)
+		}
+	}
+}
+
+// TestServeGateChecksMergeByInduction: a candidate graph merged from
+// the published one is checked by induction from it. An intact merge
+// passes. The same merge with one low weight bit flipped in a row it
+// copied, which the full check's 1e-3 symmetry tolerance lets through,
+// is rejected as csr-wellformed. A holey copy of the merge, and a merge
+// of a graph the gate never passed, get the full check.
+func TestServeGateChecksMergeByInduction(t *testing.T) {
+	s, _ := startServer(t, testConfig())
+	snap := s.Snapshot()
+	g, n := snap.Graph, snap.Graph.NumVertices()
+	// A new edge inside vertex 0's community keeps every community
+	// connected.
+	c0, _ := snap.Community(0)
+	members, _ := snap.Members(c0)
+	v := members[slices.IndexFunc(members, func(v uint32) bool { return v != 0 && !g.HasArc(0, v) })]
+	states := map[uint64]graph.DeltaState{graph.PairKey(0, v): {Present: true, W: 1}}
+	merged := graph.MergeDelta(g, n, states)
+	from := stream.Merge{Base: g, States: states}
+
+	flipped := merged.Clone()
+	u := uint32(n - 1)
+	for u == v || merged.Degree(u) == 0 {
+		u--
+	}
+	at := flipped.Offsets[u]
+	flipped.Weights[at] = math.Float32frombits(math.Float32bits(flipped.Weights[at]) ^ 1)
+	var full oracle.Report
+	if oracle.CheckCSR(&full, flipped); !full.Ok() {
+		t.Fatalf("the full check rejected a flipped low bit: %v", full.Err())
+	}
+	holey := merged.Clone()
+	holey.Counts = make([]uint32, n)
+	for w := range holey.Counts {
+		holey.Counts[w] = merged.Degree(uint32(w))
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *graph.CSR
+		from  stream.Merge
+		check string
+		ok    bool
+	}{
+		{"intact merge", merged, from, csrInductive, true},
+		{"flipped weight bit", flipped, from, csrInductive, false},
+		{"holey graph", holey, from, csrFull, true},
+		{"unverified base", merged, stream.Merge{Base: g.Clone(), States: states}, csrFull, true},
+	} {
+		_, check, err := s.gate(tc.g, tc.from, snap.Result, snap)
+		if check != tc.check {
+			t.Fatalf("%s: the gate ran the %q check, want %q", tc.name, check, tc.check)
+		}
+		if tc.ok && err != nil {
+			t.Fatalf("%s: gate error %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "csr-wellformed")) {
+			t.Fatalf("%s: gate error %v, want a csr-wellformed violation", tc.name, err)
+		}
 	}
 }

@@ -26,7 +26,9 @@ type Graph struct {
 // mutation, Snapshot returns g itself. Any other g is replaced by the
 // canonical graph it describes: parallel arcs are summed, an edge
 // whose summed weight is ≤ 0 is dropped, a non-finite weight is
-// skipped, and an asymmetric g takes its upper triangle.
+// skipped, and an asymmetric g takes its upper triangle. g must pass
+// graph.CSR.ValidateShapeOn, which a malformed layout fails with an
+// error where FromCSR would panic.
 func FromCSR(g *graph.CSR) *Graph {
 	base, edges := graph.Canonical(g)
 	return &Graph{base: base, overlay: map[uint64]graph.DeltaState{}, n: base.NumVertices(), edges: edges}
@@ -99,10 +101,29 @@ func (s *Graph) Snapshot() *graph.CSR { return s.SnapshotOn(nil, 0) }
 // stays valid across later mutations. O(N + M + P log P) for P pending
 // pairs.
 func (s *Graph) SnapshotOn(p *parallel.Pool, threads int) *graph.CSR {
+	g, _ := s.SnapshotMerge(p, threads)
+	return g
+}
+
+// Merge is what one snapshot merged: the base CSR it read and the pair
+// states it set on that base (graph.MergeDeltaOn). A snapshot taken
+// with nothing pending merged nothing: its Base is the snapshot itself
+// and States is empty. Neither is written once handed out.
+type Merge struct {
+	Base   *graph.CSR
+	States map[uint64]graph.DeltaState
+}
+
+// SnapshotMerge is SnapshotOn that also returns what the snapshot
+// merged, so a caller that verified the base can verify the snapshot
+// from it (oracle.CheckCSRFrom).
+func (s *Graph) SnapshotMerge(p *parallel.Pool, threads int) (*graph.CSR, Merge) {
+	m := Merge{Base: s.base}
 	if len(s.overlay) == 0 && s.n == s.base.NumVertices() {
-		return s.base
+		return s.base, m
 	}
+	m.States = s.overlay
 	s.base = graph.MergeDeltaOn(p, s.base, s.n, s.overlay, threads)
 	s.overlay = map[uint64]graph.DeltaState{}
-	return s.base
+	return s.base, m
 }

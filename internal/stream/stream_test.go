@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -264,6 +265,32 @@ func TestSnapshotSharedBaseIsNeverWritten(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g, gWant) || !reflect.DeepEqual(snap, snapWant) {
 		t.Fatal("a later mutation wrote an earlier snapshot")
+	}
+}
+
+// TestSnapshotMergeHandsOutItsInputs: SnapshotMerge returns the base
+// its merge read and the pair states it set, which merge back into the
+// snapshot and which later mutations leave alone; with nothing pending
+// it merged nothing, and its base is the snapshot.
+func TestSnapshotMergeHandsOutItsInputs(t *testing.T) {
+	g, _ := gen.WebGraph(400, 8, 7)
+	s := FromCSR(g)
+	if snap, m := s.SnapshotMerge(nil, 2); snap != g || m.Base != g || len(m.States) != 0 {
+		t.Fatalf("nothing pending: snapshot %p, merge of %p with %d states; want %p alone", snap, m.Base, len(m.States), g)
+	}
+	ins, del := graph.RandomDelta(g, 20, 20, 3)
+	mustApply(t, s, ins, del)
+	mustApply(t, s, []graph.Edge{{U: 450, V: 2, W: 1}}, nil)
+	snap, m := s.SnapshotMerge(nil, 2)
+	if m.Base != g || len(m.States) == 0 {
+		t.Fatalf("the merge read %p with %d states, want %p and the pending pairs", m.Base, len(m.States), g)
+	}
+	assertSameCSR(t, graph.MergeDelta(m.Base, snap.NumVertices(), m.States), snap)
+	states := maps.Clone(m.States)
+	mustApply(t, s, []graph.Edge{{U: 0, V: 1, W: 2}}, nil)
+	next, m2 := s.SnapshotMerge(nil, 2)
+	if m2.Base != snap || next == snap || !maps.Equal(m.States, states) {
+		t.Fatal("the next merge did not read the last snapshot, or wrote the states handed out before")
 	}
 }
 
