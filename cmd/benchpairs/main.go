@@ -11,12 +11,12 @@
 // the repository root). The parent is the commit -parent names,
 // extracted with `git archive` under the change's .bench_build/, so the
 // repository's git metadata is left alone. Every run's reported metrics
-// go into the output file, with a summary per metric: each side's
-// median and quartiles, and the pairs the change won in the direction
-// BENCHMARK.json gives. An existing output file gets the new set of
-// pairs appended, so one file can hold every workload and seed of a
-// comparison. benchpairs edits nothing under perfbench/ and does not
-// touch BENCHMARK.json.
+// go into the output file, with its op_s samples (one per timed op, in
+// order) and a summary per metric: each side's median and quartiles,
+// and the pairs the change won in the direction BENCHMARK.json gives.
+// An existing output file gets the new set of pairs appended, so one
+// file can hold every workload and seed of a comparison. benchpairs
+// edits nothing under perfbench/ and does not touch BENCHMARK.json.
 package main
 
 import (
@@ -105,20 +105,31 @@ func compare(parentRev, changeDir, workload string, seed uint64, seconds, pairs 
 	return save(out, rep)
 }
 
-// perfbench runs the benchmark once in dir and parses the metrics line
-// it prints last.
+// perfbench runs the benchmark once in dir and parses what it prints.
 func perfbench(dir string, args []string) runRecord {
 	var stdout bytes.Buffer
 	cmd := exec.Command("bash", args...)
 	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &stdout, os.Stderr
 	start := time.Now()
 	err := cmd.Run()
-	r := runRecord{WallS: time.Since(start).Seconds()}
+	wall := time.Since(start).Seconds()
+	if err != nil {
+		return runRecord{WallS: wall, Error: err.Error()}
+	}
+	r, err := parseRun(stdout.String())
 	if err != nil {
 		r.Error = err.Error()
-		return r
 	}
-	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	r.WallS = wall
+	return r
+}
+
+// parseRun reads a perfbench run's standard output: the metrics line it
+// prints last, and the run record line before it ({"record":…}), whose
+// op_s_samples it keeps when the record has them.
+func parseRun(stdout string) (runRecord, error) {
+	var r runRecord
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
 	var final struct {
 		Attempted int `json:"attempted"`
 		Failed    int `json:"failed"`
@@ -127,15 +138,31 @@ func perfbench(dir string, args []string) runRecord {
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
-		r.Error = "parsing the metrics line: " + err.Error()
-		return r
+		return r, fmt.Errorf("parsing the metrics line: %w", err)
+	}
+	if final.Metrics == nil {
+		return r, errors.New("the last line holds no metrics")
 	}
 	r.Attempted, r.Failed = final.Attempted, final.Failed
 	r.Metrics = map[string]float64{}
 	for name, m := range final.Metrics {
 		r.Metrics[name] = m.Value
 	}
-	return r
+	for _, line := range lines[:len(lines)-1] {
+		if !strings.HasPrefix(line, `{"record":`) {
+			continue
+		}
+		var rec struct {
+			Record struct {
+				OpSSamples []float64 `json:"op_s_samples"`
+			} `json:"record"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			return r, fmt.Errorf("parsing the record line: %w", err)
+		}
+		r.OpSSamples = rec.Record.OpSSamples
+	}
+	return r, nil
 }
 
 // extract writes the tree of commit sha under changeDir's .bench_build

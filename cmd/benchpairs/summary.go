@@ -35,7 +35,11 @@ type runRecord struct {
 	Failed    int                `json:"failed"`
 	WallS     float64            `json:"wall_s"`
 	Metrics   map[string]float64 `json:"metrics,omitempty"`
-	Error     string             `json:"error,omitempty"`
+	// OpSSamples are the run's timed ops in order, from its record
+	// line; op_s is their median. On serve-swap, with no rejection,
+	// sample i is the swap that published version i+3.
+	OpSSamples []float64 `json:"op_s_samples,omitempty"`
+	Error      string    `json:"error,omitempty"`
 }
 
 // spread is one side's median and quartiles of a metric.

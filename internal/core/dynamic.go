@@ -76,13 +76,15 @@ func LeidenDynamicHierarchy(g *graph.CSR, prev []uint32, delta Delta, mode Dynam
 // LeidenDynamicFrom is LeidenDynamicHierarchy resumed from the
 // dendrogram prevH of the run that computed prev; the resident server
 // passes each published snapshot's Hierarchy. Pass 0 runs the
-// warm-started move phase as LeidenDynamic does, then takes the
-// previous run's last-level super-vertices, prevH.Flatten(Depth()−1),
-// as its refined partition instead of refining every vertex from a
-// singleton (see inheritUnits), so aggregation collapses the graph
-// into about as many super-vertices as that level has, and the run
-// goes a few passes deep instead of rebuilding the dendrogram. Later
-// passes run exactly as in any other run.
+// warm-started move phase as LeidenDynamic does, then takes units
+// inherited from prevH as its refined partition instead of refining
+// every vertex from a singleton (see inheritUnits), so aggregation
+// collapses the graph into about as many super-vertices as there are
+// units, and the run goes a few passes deep instead of rebuilding the
+// dendrogram. Later passes run exactly as in any other run. The units
+// are a full dendrogram's last-level super-vertices, or a resumed
+// one's Levels[0]: the units that run inherited, patched by its
+// movers, its new vertices and its component split.
 //
 // The returned dendrogram records the levels this run built: its
 // Level 0 partitions the input vertices into the inherited units, so it
@@ -91,15 +93,35 @@ func LeidenDynamicHierarchy(g *graph.CSR, prev []uint32, delta Delta, mode Dynam
 //
 // A resumed run only patches the partition it inherits, where a run
 // that refines pass 0 from singletons re-optimizes it, so a chain of
-// resumed runs, each inheriting the last one's coarser units, drifts
-// below a chain of warm runs. The next run after a resumed one
-// therefore refines from singletons: it is LeidenDynamicHierarchy when
-// prevH is a dendrogram LeidenDynamicFrom resumed, and likewise when
-// prevH is nil, prevH.Depth() < 2, or prevH.Levels[0].Vertices !=
-// len(prev). A chain of calls alternates the two kinds of run.
+// resumed runs drifts below a chain of warm runs, although patched
+// units only get finer. One run in every resumeCycle of a chain
+// therefore refines from singletons: the run after resumeCycle−1
+// resumed ones is LeidenDynamicHierarchy. So is the run after one from
+// singletons that raised the objective by resumeGain or more over its
+// warm start: the partition is still climbing, as it does for a few
+// runs after a poor cold start, and resumed runs would not climb with
+// it. And so is a run whose prevH is nil, has Depth() < 2, or has
+// prevH.Levels[0].Vertices != len(prev). From a cold dendrogram a
+// chain goes resumed, resumed, full, then full while full runs gain
+// resumeGain or more, and resumed, resumed, full once they gain less.
 func LeidenDynamicFrom(g *graph.CSR, prev []uint32, prevH *Hierarchy, delta Delta, mode DynamicMode, opt Options) (*Result, *Hierarchy) {
 	return runLeidenDynamic(g, prev, prevH, delta, mode, opt, true)
 }
+
+// resumeCycle is the length of LeidenDynamicFrom's cycle: one run
+// refines pass 0 from singletons and the resumeCycle−1 runs after it
+// resume, each from the last one's dendrogram. resumeGain is the gain
+// over its warm start (its passes' summed DeltaQ) from which a run
+// from singletons is followed by another; it equals the bound
+// oracle.TestResumeChain holds a resumed chain to. The cycle alone let
+// a chain from a cold social partition fall 0.0115 behind the
+// LeidenDynamicHierarchy chain after 8 batches at 2×10⁴ vertices; with
+// the gain rule the worst gap over four graph classes and four seeds
+// was 0.0017 there and 0.0034 over batches 8 to 60 (DESIGN.md §2i).
+const (
+	resumeCycle = 3
+	resumeGain  = 0.005
+)
 
 func runLeidenDynamic(g *graph.CSR, prev []uint32, prevH *Hierarchy, delta Delta, mode DynamicMode, opt Options, hierarchy bool) (*Result, *Hierarchy) {
 	opt = opt.normalize()
@@ -116,20 +138,31 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, prevH *Hierarchy, delta Delta
 	if mode == DynamicFrontier {
 		ws.frontier = frontierOf(warm, delta, bound, n)
 	}
-	if prevH != nil && !prevH.inherited && prevH.Depth() >= 2 && prevH.Levels[0].Vertices == len(prev) {
+	if prevH != nil && prevH.resumed < resumeCycle-1 && prevH.gain < resumeGain && prevH.Depth() >= 2 && prevH.Levels[0].Vertices == len(prev) {
 		ws.resume = prevH
-		ws.hierarchy.inherited = true
+		ws.hierarchy.resumed = prevH.resumed + 1
 	}
 
-	return ws.leiden(g), ws.hierarchy
+	res := ws.leiden(g)
+	if h := ws.hierarchy; h != nil && h.resumed == 0 {
+		for _, p := range res.Stats.Passes {
+			h.gain += p.DeltaQ
+		}
+	}
+	return res, ws.hierarchy
 }
 
 // inheritUnits is pass 0's refinement in a resumed run: it leaves in
 // ws.comm the refined partition inherited from the previous dendrogram
 // h and returns the number of vertices that do not anchor their
 // sub-community, refinePhase's move count for the same partition. The
-// units are the previous run's last-level super-vertices,
-// h.Flatten(h.Depth()−1), each a connected set of old vertices.
+// units are connected sets of old vertices: a full dendrogram's
+// last-level super-vertices, h.Flatten(h.Depth()−1), or a resumed
+// dendrogram's Levels[0], the units its run inherited after its movers
+// and new vertices left them and the rest was split into connected
+// components. Each of those lies inside one of that run's final
+// communities, so units only get finer from one resumed run to the
+// next.
 //
 // A vertex keeps its unit when it is an old vertex, did not move in
 // this pass's move phase (bounds equals its warm label), and carries
@@ -159,6 +192,9 @@ func (ws *workspace) inheritUnits(g *graph.CSR, h *Hierarchy) int64 {
 	n := g.NumVertices()
 	old := min(h.Levels[0].Vertices, n)
 	last := h.Depth() - 1
+	if h.Inherited() {
+		last = 1 // compose Levels[0] alone
+	}
 	comm := ws.comm[:n]
 	bounds := ws.bounds[:n]
 	out := ws.initC[:n] // pass 0's warm labels until the marking region below overwrites them

@@ -25,23 +25,30 @@ type Level struct {
 // input graph's vertices; Levels[l] partitions the super-vertices of
 // level l-1. Flatten composes a prefix of levels back onto the input
 // vertices. It records the levels the run built: a run resumed from a
-// previous dendrogram (LeidenDynamicFrom) starts from that dendrogram's
-// last-level super-vertices, so its Levels[0] groups the input vertices
-// into those inherited units, and it holds only the few passes the
-// resumed run made. Flatten(Depth()−1) gives the units a resumed run
-// inherits; LeidenDynamicFrom does not resume from a resumed run's
-// dendrogram.
+// previous dendrogram (LeidenDynamicFrom) starts from units inherited
+// from it, so its Levels[0] groups the input vertices into those
+// units, and it holds only the few passes the resumed run made. The
+// units a run resumed from h inherits are a full dendrogram's
+// last-level super-vertices, Flatten(Depth()−1), or a resumed one's
+// Levels[0].
 type Hierarchy struct {
 	Levels []Level
-	// inherited marks a resumed run's dendrogram, whose Levels[0] holds
-	// inherited units rather than sub-communities refined from
-	// singletons. LeidenDynamicFrom does not resume from it.
-	inherited bool
+	// resumed counts the resumed runs since the last run that refined
+	// pass 0 from singletons: 0 for that run's dendrogram (and for a
+	// cold one), k for the k-th resumed run after it, whose Levels[0]
+	// holds inherited units rather than sub-communities refined from
+	// singletons. gain is what a warm run from singletons raised the
+	// objective by over its warm start, its passes' summed DeltaQ, and
+	// 0 for a cold or resumed run's dendrogram. LeidenDynamicFrom
+	// resumes from h only while the count is below resumeCycle−1 and
+	// gain below resumeGain.
+	resumed int
+	gain    float64
 }
 
 // Inherited reports whether h is a resumed run's dendrogram, whose
 // Levels[0] holds the units the run inherited.
-func (h *Hierarchy) Inherited() bool { return h.inherited }
+func (h *Hierarchy) Inherited() bool { return h.resumed > 0 }
 
 // Depth returns the number of levels.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }

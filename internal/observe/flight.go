@@ -50,9 +50,9 @@ type RunRecord struct {
 	// Check records the oracle self-check outcome: "" when no check
 	// ran, "passed", or "failed: <reason>".
 	Check string `json:"check,omitempty"`
-	// Resumed marks a run that resumed from the previous dendrogram's
-	// units (core.LeidenDynamicFrom) rather than refining pass 0 from
-	// singletons.
+	// Resumed marks a run that resumed from units inherited from the
+	// previous dendrogram (core.LeidenDynamicFrom: up to two runs in
+	// three) rather than refining pass 0 from singletons.
 	Resumed bool `json:"resumed"`
 	// CSRCheck names how a server swap's gate verified the candidate's
 	// graph: "inductive" from the published graph the merge read, or

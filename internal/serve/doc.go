@@ -9,14 +9,18 @@
 // delta semantics of graph.EvaluateDelta; they accumulate in a mutable
 // stream.Graph and a bounded background worker folds them into the next
 // snapshot with a warm-started dynamic Leiden run resumed from the
-// published snapshot's dendrogram (core.LeidenDynamicFrom). Unless that
-// dendrogram was itself resumed, pass 0 inherits its last level, and
-// the snapshot's /hierarchy holds only the few levels the run built;
-// otherwise the run refines from singletons and rebuilds the whole
-// dendrogram. POST /recompute queues the same warm run on demand, over
-// whatever delta is pending, possibly none. A
-// swap's stages outside the run — the stream merge, the gate's checks
-// and the members index — run on the server's pool, and the snapshot
+// published snapshot's dendrogram (core.LeidenDynamicFrom). Up to two
+// runs in three resume: pass 0 inherits the dendrogram's units (a full
+// one's last level, or the units a resumed one inherited and patched),
+// and the snapshot's /hierarchy holds only the few levels the run
+// built. Every third run refines from singletons and rebuilds the
+// whole dendrogram, and so does the run after one of those that still
+// raised modularity by 0.005 or more, as runs after a poor cold start
+// do; a refused candidate publishes no dendrogram, so it does not
+// advance the cycle. POST /recompute queues the same warm run on
+// demand, over whatever delta is pending, possibly none. A swap's
+// stages outside the run — the stream merge, the gate's checks and
+// the members index — run on the server's pool, and the snapshot
 // serves /members from the index the gate checked connectivity
 // through. Every candidate partition must pass
 // the internal/oracle invariant suite — CSR well-formedness, partition

@@ -291,9 +291,11 @@ func (s *Server) gatherMetrics() *observe.MetricSet {
 	}
 	ms.Histogram("gveserve_recompute_seconds", "Wall time of detection runs (initial and recomputes).",
 		s.lat["recompute_run"].Snapshot())
-	for i, name := range stageNames {
-		ms.Histogram("gveserve_swap_stage_seconds", "Wall time of each stage of a published swap (initial build included).",
-			s.stages[i].Snapshot(), observe.L("stage", name))
+	for k, kind := range swapKinds {
+		for i, name := range stageNames {
+			ms.Histogram("gveserve_swap_stage_seconds", "Wall time of each stage of a published swap by kind of run (initial build included, as full).",
+				s.stages[k][i].Snapshot(), observe.L("stage", name), observe.L("kind", kind))
+		}
 	}
 	core.AddPoolMetrics(ms, s.pool.Counters())
 	s.tel.AddTo(ms)

@@ -104,7 +104,7 @@ type Server struct {
 
 	lat    map[string]*observe.Histogram
 	reqs   map[string]*atomic.Int64
-	stages [numStages]*observe.Histogram
+	stages [len(swapKinds)][numStages]*observe.Histogram
 }
 
 // taken is the delta a recompute took from the queue, pending until
@@ -138,6 +138,13 @@ const (
 )
 
 var stageNames = [numStages]string{"snapshot", "run", "gate", "index"}
+
+// The kinds of published swap the stage histograms tell apart, by the
+// run's dendrogram: a run that refined pass 0 from singletons (the
+// initial build included), or one resumed from the published
+// dendrogram (core.Hierarchy.Inherited), as the flight record's
+// resumed flag says.
+var swapKinds = [2]string{"full", "resumed"}
 
 // attempt is what one swap got through, for its flight record.
 type attempt struct {
@@ -201,8 +208,10 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 		s.reqs[e] = &atomic.Int64{}
 	}
 	s.lat["recompute_run"] = observe.NewHistogram()
-	for i := range s.stages {
-		s.stages[i] = observe.NewHistogram()
+	for k := range s.stages {
+		for i := range s.stages[k] {
+			s.stages[k][i] = observe.NewHistogram()
+		}
 	}
 
 	var a attempt
@@ -230,7 +239,7 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 	s.snap.Store(snap)
 	s.recomputes.Add(1)
 	s.lat["recompute_run"].ObserveDuration(time.Since(start))
-	s.observeStages(a.took)
+	s.observeStages(a.took, a.h)
 	s.recordRun("serve-initial", g, start, a, "passed")
 	s.logSwap(snap, check, time.Since(start))
 
@@ -397,7 +406,7 @@ func (s *Server) recompute() {
 	s.snap.Store(next)
 	s.mu.Unlock()
 	s.recomputes.Add(1)
-	s.observeStages(a.took)
+	s.observeStages(a.took, a.h)
 	s.recordRun("serve-recompute", g, start, a, "passed")
 	s.logSwap(next, a.check, a.took[stageRun])
 }
@@ -500,11 +509,16 @@ func (s *Server) gate(g *graph.CSR, merged stream.Merge, res *core.Result, prev 
 	return members, check, r.Err()
 }
 
-// observeStages records the stage times of one published swap, so
-// every stage histogram counts exactly the published swaps.
-func (s *Server) observeStages(took [numStages]time.Duration) {
+// observeStages records the stage times of one published swap, whose
+// run built h, under its kind, so the two kinds' histograms of every
+// stage together count exactly the published swaps.
+func (s *Server) observeStages(took [numStages]time.Duration, h *core.Hierarchy) {
+	kind := 0
+	if h.Inherited() {
+		kind = 1
+	}
 	for i, d := range took {
-		s.stages[i].ObserveDuration(d)
+		s.stages[kind][i].ObserveDuration(d)
 	}
 }
 

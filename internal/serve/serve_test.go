@@ -552,38 +552,51 @@ func TestServeAdoptsCallerGraph(t *testing.T) {
 	}
 }
 
-// TestServeSwapStageMetrics: every stage histogram counts each
-// published swap once, initial build included, and the run, gate and
-// index stages fit inside the flight records' wall time.
+// TestServeSwapStageMetrics: every published swap, initial build
+// included, is counted once per stage under its kind of run, full or
+// resumed, as its flight record says; per stage the two kinds together
+// count every published swap, and the run, gate and index stages fit
+// inside the flight records' wall time.
 func TestServeSwapStageMetrics(t *testing.T) {
 	s, c := startServer(t, testConfig())
 	driveSwaps(t, c, uint32(s.Snapshot().Graph.NumVertices()), 3)
 	// The flight record is written last in a swap: once all are in,
 	// every stage of every swap has been observed.
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Telemetry().Flight().Total() < uint64(s.Recomputes()) {
-		if time.Now().After(deadline) {
-			t.Fatal("flight records lag the published swaps")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	recs := flightRecords(t, s, uint64(s.Recomputes()))
 	var wall float64
-	for _, r := range s.Telemetry().Flight().Records() {
+	kinds := map[string]uint64{}
+	for _, r := range recs {
 		wall += r.WallSeconds
+		kind := swapKinds[0]
+		if r.Resumed {
+			kind = swapKinds[1]
+		}
+		kinds[kind]++
+	}
+	if kinds["full"] == 0 || kinds["resumed"] == 0 {
+		t.Fatalf("flight records of each kind: %v, want both", kinds)
 	}
 	sums := map[string]float64{}
+	counts := map[string]uint64{}
 	for _, m := range s.gatherMetrics().Metrics() {
 		if m.Name != "gveserve_swap_stage_seconds" {
 			continue
 		}
-		stage := m.Labels[0].Value
-		if m.Count != uint64(s.Recomputes()) {
-			t.Fatalf("stage %s counted %d swaps, %d published", stage, m.Count, s.Recomputes())
+		stage, kind := m.Labels[0].Value, m.Labels[1].Value
+		if m.Labels[1].Name != "kind" || m.Count != kinds[kind] {
+			t.Fatalf("stage %s, %s=%s counted %d swaps; the flight records hold %d of kind %s",
+				stage, m.Labels[1].Name, kind, m.Count, kinds[kind], kind)
 		}
-		sums[stage] = m.Sum
+		sums[stage] += m.Sum
+		counts[stage] += m.Count
 	}
 	if len(sums) != len(stageNames) {
 		t.Fatalf("stages exported: %v", sums)
+	}
+	for stage, n := range counts {
+		if n != uint64(s.Recomputes()) {
+			t.Fatalf("stage %s counted %d swaps over both kinds, %d published", stage, n, s.Recomputes())
+		}
 	}
 	if inRun := sums["run"] + sums["gate"] + sums["index"]; inRun > wall {
 		t.Fatalf("run+gate+index %.6fs exceed the flight wall time %.6fs", inRun, wall)
@@ -784,29 +797,38 @@ func TestServeRegionPanicIsRejection(t *testing.T) {
 	}
 }
 
-// TestServeWarmHierarchyMatchesCommunities: every other warm swap
-// resumes from the published dendrogram, so its snapshot's dendrogram
-// holds only the levels its own run built, and the next swap's run
-// rebuilds a full one. After three warm swaps (the second resumed) and
-// after four, /hierarchy must answer Depth levels, and every vertex's
-// deepest level must group the vertices exactly as /community does.
+// TestServeWarmHierarchyMatchesCommunities: two warm swaps in three
+// resume, each from the published dendrogram, so their snapshots'
+// dendrograms hold only the levels their own runs built, and every
+// third swap's run rebuilds a full one. After each of three warm swaps
+// (resumed, resumed again from the first one's dendrogram, and full),
+// /hierarchy must answer Depth levels, and every vertex's deepest level
+// must group the vertices exactly as /community does.
 func TestServeWarmHierarchyMatchesCommunities(t *testing.T) {
 	s, c := startServer(t, testConfig())
 	cold := s.Snapshot()
 	n0 := uint32(cold.Graph.NumVertices())
-	driveSwaps(t, c, n0, 3)
-	resumed := s.Snapshot()
-	checkHierarchyMatchesCommunities(t, c, resumed, 4)
-	u := n0 + 3
-	if _, err := c.ApplyDelta([]EdgeUpdate{{U: u, V: u % n0, W: 1}, {U: u, V: (u + 1) % n0, W: 1}}, nil); err != nil {
-		t.Fatal(err)
+	var snaps []*Snapshot
+	for i := uint32(0); i < 3; i++ {
+		u := n0 + i
+		if _, err := c.ApplyDelta([]EdgeUpdate{{U: u, V: u % n0, W: 1}, {U: u, V: (u + 1) % n0, W: 1}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		waitVersion(t, c, uint64(2+i))
+		snap := s.Snapshot()
+		checkHierarchyMatchesCommunities(t, c, snap, uint64(2+i))
+		snaps = append(snaps, snap)
 	}
-	waitVersion(t, c, 5)
-	full := s.Snapshot()
-	checkHierarchyMatchesCommunities(t, c, full, 5)
-	t.Logf("dendrogram depth: cold %d, after three warm swaps %d, after four %d", cold.Depth(), resumed.Depth(), full.Depth())
-	if resumed.Depth() >= full.Depth() {
-		t.Errorf("the resumed snapshot's dendrogram has %d levels, no fewer than the next one's %d", resumed.Depth(), full.Depth())
+	t.Logf("dendrogram depth: cold %d, after the warm swaps %d, %d, %d", cold.Depth(), snaps[0].Depth(), snaps[1].Depth(), snaps[2].Depth())
+	for i, want := range []bool{true, true, false} {
+		if got := snaps[i].Hierarchy.Inherited(); got != want {
+			t.Fatalf("version %d: resumed %v, want %v", snaps[i].Version, got, want)
+		}
+	}
+	for _, r := range snaps[:2] {
+		if r.Depth() >= snaps[2].Depth() {
+			t.Errorf("the resumed snapshot %d's dendrogram has %d levels, no fewer than the full one's %d", r.Version, r.Depth(), snaps[2].Depth())
+		}
 	}
 }
 
@@ -1282,14 +1304,17 @@ func flightRecords(t *testing.T, s *Server, want uint64) []observe.RunRecord {
 // "snapshot published" log line says whether the swap's run resumed
 // from the published dendrogram and how the gate checked its graph.
 // The first snapshot has no gated graph to induct from and gets the
-// full check; over the next four swaps the runs alternate resumed and
-// full, and every merge read the published graph, so every graph is
-// checked by induction.
+// full check. Over the next four swaps two runs in three resume: the
+// kinds go resumed, resumed, full, resumed, and every merge read the
+// published graph, so every graph is checked by induction. The graph
+// is a k-mer graph, on which the full run gains far less modularity
+// than would make the run after it refine from singletons too.
 func TestServeFlightRecordsSwapKind(t *testing.T) {
 	var log syncBuffer
 	cfg := testConfig()
 	cfg.Logger = slog.New(slog.NewJSONHandler(&log, nil))
-	s, c := startServer(t, cfg)
+	g, _ := gen.KmerGraph(2000, 7)
+	s, c := startServerOn(t, g, cfg)
 	driveSwaps(t, c, uint32(s.Snapshot().Graph.NumVertices()), 4)
 	recs := flightRecords(t, s, 5)
 	published := log.lines(t, "snapshot published")
@@ -1297,7 +1322,7 @@ func TestServeFlightRecordsSwapKind(t *testing.T) {
 		t.Fatalf("%d flight records and %d published logs, want 5 of each", len(recs), len(published))
 	}
 	for i, r := range recs {
-		wantCheck, wantResumed := csrInductive, i%2 == 1
+		wantCheck, wantResumed := csrInductive, i%3 != 0
 		if i == 0 {
 			wantCheck = csrFull
 		}
@@ -1308,7 +1333,7 @@ func TestServeFlightRecordsSwapKind(t *testing.T) {
 			t.Fatalf("swap %d: logged %v, want csr_check %q and resumed %v", i, l, wantCheck, wantResumed)
 		}
 	}
-	if rec := newestFlightRecord(t, s, c, 5); rec["csr_check"] != csrInductive || rec["resumed"] != false {
+	if rec := newestFlightRecord(t, s, c, 5); rec["csr_check"] != csrInductive || rec["resumed"] != true {
 		t.Fatalf("/debug/flight newest record %v", rec)
 	}
 }
@@ -1318,13 +1343,18 @@ func TestServeFlightRecordsSwapKind(t *testing.T) {
 // read the published graph. Its graph gets the full check; the swap
 // after it, whose merge read the graph that check passed, is checked by
 // induction again. The refused run panicked before the gate, so its
-// record names no CSR check.
+// record names no CSR check and no resumed run. A refused candidate
+// publishes no dendrogram, so it does not advance the cycle of resumed
+// runs: after one resumed swap and the refusal, the next swap resumes
+// from the same snapshot, as the second resumed run of the cycle, and
+// the one after it refines from singletons.
 func TestServeFullCheckAfterRejection(t *testing.T) {
 	obs := &panickyObserver{}
 	cfg := testConfig()
 	cfg.Options.Observer = obs
 	s, c := startServer(t, cfg)
 	n0 := uint32(s.Snapshot().Graph.NumVertices())
+	driveSwaps(t, c, n0, 1)
 	obs.armed.Store(true)
 	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 999, W: 1}}, nil); err != nil {
 		t.Fatal(err)
@@ -1332,14 +1362,21 @@ func TestServeFullCheckAfterRejection(t *testing.T) {
 	waitRejections(t, s, 1)
 	obs.armed.Store(false)
 	s.Kick()
-	waitVersion(t, c, 2)
-	driveSwaps(t, c, n0, 1)
-	recs := flightRecords(t, s, 4)
-	for i, want := range []struct{ check, csr string }{
-		{"passed", csrFull}, {"panic: injected observer panic", ""}, {"passed", csrFull}, {"passed", csrInductive},
+	waitVersion(t, c, 3)
+	driveSwaps(t, c, n0+1, 1)
+	recs := flightRecords(t, s, 5)
+	for i, want := range []struct {
+		check, csr string
+		resumed    bool
+	}{
+		{"passed", csrFull, false},
+		{"passed", csrInductive, true},
+		{"panic: injected observer panic", "", false},
+		{"passed", csrFull, true},
+		{"passed", csrInductive, false},
 	} {
-		if r := recs[i]; r.Check != want.check || r.CSRCheck != want.csr {
-			t.Fatalf("record %d: check %q, csr_check %q; want %q, %q", i, r.Check, r.CSRCheck, want.check, want.csr)
+		if r := recs[i]; r.Check != want.check || r.CSRCheck != want.csr || r.Resumed != want.resumed {
+			t.Fatalf("record %d: check %q, csr_check %q, resumed %v; want %q, %q, %v", i, r.Check, r.CSRCheck, r.Resumed, want.check, want.csr, want.resumed)
 		}
 	}
 }
