@@ -7,11 +7,15 @@
 //	benchall -scale 2 -repeat 5 # bigger corpus, tighter averaging
 //	benchall -o report.txt      # also write the report to a file
 //	benchall -csv out/          # also write one CSV per table
+//
+// An -exp list that names an unknown experiment, or none, exits 2 and
+// lists the valid names.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,17 +24,87 @@ import (
 	"gveleiden/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	// fig6 and table1 render one set of RunComparison runs.
+	var cmp []bench.CompareResult
+	comparison := func(cfg bench.Config) []bench.CompareResult {
+		if cmp == nil {
+			cmp = bench.RunComparison(cfg)
+		}
+		return cmp
+	}
+	// The experiments in the order -exp all runs them, each with the
+	// names that select it.
+	experiments := []struct {
+		names []string
+		run   func(bench.Config) []bench.Table
+	}{
+		{[]string{"table2"}, bench.Table2},
+		{[]string{"fig6"}, func(cfg bench.Config) []bench.Table { return bench.Fig6(comparison(cfg)) }},
+		{[]string{"table1"}, func(cfg bench.Config) []bench.Table { return bench.Table1(comparison(cfg)) }},
+		{[]string{"fig1", "fig2"}, bench.Fig1And2},
+		{[]string{"fig3", "fig4"}, bench.Fig3And4},
+		{[]string{"fig7"}, bench.Fig7},
+		{[]string{"fig8"}, bench.Fig8},
+		{[]string{"fig9"}, bench.Fig9},
+		{[]string{"quality"}, bench.Fig8Quality},
+		{[]string{"dynamic"}, bench.DynamicExperiment},
+		{[]string{"ablation"}, bench.AblationExperiment},
+		{[]string{"cpm"}, bench.CPMExperiment},
+		{[]string{"profile"}, bench.ProfileExperiment},
+		{[]string{"ordering"}, bench.OrderingExperiment},
+		{[]string{"lpa"}, bench.LPAExperiment},
+		{[]string{"memory"}, bench.MemoryExperiment},
+		{[]string{"complexity"}, bench.ComplexityExperiment},
+		{[]string{"scaling"}, bench.ScalingExperiment},
+		{[]string{"storage"}, bench.StorageExperiment},
+	}
+	var valid []string
+	for _, e := range experiments {
+		valid = append(valid, e.names...)
+	}
+
+	fs := flag.NewFlagSet("benchall", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expList = flag.String("exp", "all", "comma-separated experiments: table1,table2,fig1,fig3,fig6,fig7,fig8,fig9,quality,dynamic,ablation,cpm,profile,ordering,lpa,memory,complexity,scaling,storage or 'all'")
-		scale   = flag.Float64("scale", 1.0, "dataset size multiplier")
-		repeat  = flag.Int("repeat", 3, "measurement repeats (paper uses 5)")
-		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		maxThr  = flag.Int("maxthreads", 0, "strong-scaling sweep bound (0 = GOMAXPROCS)")
-		out     = flag.String("o", "", "also write the report to this file")
-		csvDir  = flag.String("csv", "", "also write one CSV per table into this directory")
+		expList = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(valid, ",")+" or 'all'")
+		scale   = fs.Float64("scale", 1.0, "dataset size multiplier")
+		repeat  = fs.Int("repeat", 3, "measurement repeats (paper uses 5)")
+		threads = fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
+		maxThr  = fs.Int("maxthreads", 0, "strong-scaling sweep bound (0 = GOMAXPROCS)")
+		out     = fs.String("o", "", "also write the report to this file")
+		csvDir  = fs.String("csv", "", "also write one CSV per table into this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	want := map[string]bool{}
+	for _, e := range strings.Split(*expList, ",") {
+		if e = strings.TrimSpace(strings.ToLower(e)); e != "" {
+			want[e] = true
+		}
+	}
+	all := want["all"]
+	delete(want, "all")
+	var runners []func(bench.Config) []bench.Table
+	for _, e := range experiments {
+		chosen := all
+		for _, n := range e.names {
+			chosen = chosen || want[n]
+			delete(want, n)
+		}
+		if chosen {
+			runners = append(runners, e.run)
+		}
+	}
+	if len(want) > 0 || len(runners) == 0 {
+		fmt.Fprintf(stderr, "benchall: -exp %q names an unknown experiment or none; valid: %s or all\n",
+			*expList, strings.Join(valid, ","))
+		return 2
+	}
 
 	cfg := bench.Config{
 		Scale:      *scale,
@@ -38,106 +112,38 @@ func main() {
 		Threads:    *threads,
 		MaxThreads: *maxThr,
 	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expList, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := want["all"]
-
 	var report strings.Builder
 	var tables []bench.Table
-	emit := func(ts []bench.Table) {
-		text := bench.RenderAll(ts)
-		fmt.Print(text + "\n")
-		report.WriteString(text + "\n")
-		tables = append(tables, ts...)
-	}
-
 	start := time.Now()
 	header := fmt.Sprintf("GVE-Leiden evaluation harness  (scale=%.2g repeats=%d threads=%d)\n",
 		*scale, *repeat, *threads)
-	fmt.Println(header)
+	fmt.Fprintln(stdout, header)
 	report.WriteString(header + "\n")
-
-	if all || want["table2"] {
-		emit(bench.Table2(cfg))
-	}
-	var cmp []bench.CompareResult
-	if all || want["fig6"] || want["table1"] {
-		cmp = bench.RunComparison(cfg)
-	}
-	if all || want["fig6"] {
-		emit(bench.Fig6(cmp))
-	}
-	if all || want["table1"] {
-		emit(bench.Table1(cmp))
-	}
-	if all || want["fig1"] || want["fig2"] {
-		emit(bench.Fig1And2(cfg))
-	}
-	if all || want["fig3"] || want["fig4"] {
-		emit(bench.Fig3And4(cfg))
-	}
-	if all || want["fig7"] {
-		emit(bench.Fig7(cfg))
-	}
-	if all || want["fig8"] {
-		emit(bench.Fig8(cfg))
-	}
-	if all || want["fig9"] {
-		emit(bench.Fig9(cfg))
-	}
-	if all || want["quality"] {
-		emit(bench.Fig8Quality(cfg))
-	}
-	if all || want["dynamic"] {
-		emit(bench.DynamicExperiment(cfg))
-	}
-	if all || want["ablation"] {
-		emit(bench.AblationExperiment(cfg))
-	}
-	if all || want["cpm"] {
-		emit(bench.CPMExperiment(cfg))
-	}
-	if all || want["profile"] {
-		emit(bench.ProfileExperiment(cfg))
-	}
-	if all || want["ordering"] {
-		emit(bench.OrderingExperiment(cfg))
-	}
-	if all || want["lpa"] {
-		emit(bench.LPAExperiment(cfg))
-	}
-	if all || want["memory"] {
-		emit(bench.MemoryExperiment(cfg))
-	}
-	if all || want["complexity"] {
-		emit(bench.ComplexityExperiment(cfg))
-	}
-	if all || want["scaling"] {
-		emit(bench.ScalingExperiment(cfg))
-	}
-	if all || want["storage"] {
-		emit(bench.StorageExperiment(cfg))
+	for _, runner := range runners {
+		ts := runner(cfg)
+		text := bench.RenderAll(ts)
+		fmt.Fprint(stdout, text+"\n")
+		report.WriteString(text + "\n")
+		tables = append(tables, ts...)
 	}
 	footer := fmt.Sprintf("total harness time: %s", time.Since(start).Round(time.Millisecond))
-	fmt.Println(footer)
+	fmt.Fprintln(stdout, footer)
 	report.WriteString(footer + "\n")
 
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(report.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: writing %s: %v\n", *out, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchall: writing %s: %v\n", *out, err)
+			return 1
 		}
 	}
 	if *csvDir != "" {
 		if err := writeCSVs(*csvDir, tables); err != nil {
-			fmt.Fprintf(os.Stderr, "benchall: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchall: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %d CSV files to %s\n", len(tables), *csvDir)
+		fmt.Fprintf(stdout, "wrote %d CSV files to %s\n", len(tables), *csvDir)
 	}
+	return 0
 }
 
 func writeCSVs(dir string, tables []bench.Table) error {

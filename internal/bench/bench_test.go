@@ -45,6 +45,9 @@ func TestLoadCaches(t *testing.T) {
 	if a == c {
 		t.Fatal("ClearCache must drop memoized graphs")
 	}
+	if big, _ := Load(Registry(0.15)[0]); big.NumVertices() <= c.NumVertices() {
+		t.Fatalf("Load at scale 0.15 returned %d vertices after scale 0.04's %d", big.NumVertices(), c.NumVertices())
+	}
 	ClearCache()
 }
 

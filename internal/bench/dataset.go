@@ -20,6 +20,9 @@ type Dataset struct {
 	Name string
 	// Class is one of "web", "social", "road", "kmer".
 	Class string
+	// Scale is the size multiplier Registry was called with. Every scale
+	// reuses the same names, so Load memoizes by name and scale.
+	Scale float64
 	// Build generates the graph and its planted ground truth (nil when
 	// the class has no meaningful planted partition).
 	Build func() (*graph.CSR, gen.Membership)
@@ -46,7 +49,7 @@ func Registry(scale float64) []Dataset {
 			return gen.WebGraph(sz(n), deg, seed)
 		}}
 	}
-	return []Dataset{
+	ds := []Dataset{
 		// Web graphs (LAW analogues). Average degrees follow Table 2's
 		// ordering: indochina 41.0 … webbase 8.6 … sk 38.5.
 		web("web-indochina", 12000, 30, 101),
@@ -79,14 +82,23 @@ func Registry(scale float64) []Dataset {
 			return gen.KmerGraph(sz(40000), 402)
 		}},
 	}
+	for i := range ds {
+		ds[i].Scale = scale
+	}
+	return ds
 }
 
 // cache memoizes built graphs so experiments that share datasets don't
 // regenerate them.
 var (
 	cacheMu sync.Mutex
-	cache   = map[string]builtDataset{}
+	cache   = map[cacheKey]builtDataset{}
 )
+
+type cacheKey struct {
+	name  string
+	scale float64
+}
 
 type builtDataset struct {
 	g     *graph.CSR
@@ -97,11 +109,12 @@ type builtDataset struct {
 func Load(d Dataset) (*graph.CSR, gen.Membership) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	if b, ok := cache[d.Name]; ok {
+	key := cacheKey{d.Name, d.Scale}
+	if b, ok := cache[key]; ok {
 		return b.g, b.truth
 	}
 	g, truth := d.Build()
-	cache[d.Name] = builtDataset{g, truth}
+	cache[key] = builtDataset{g, truth}
 	return g, truth
 }
 
@@ -109,7 +122,7 @@ func Load(d Dataset) (*graph.CSR, gen.Membership) {
 func ClearCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	cache = map[string]builtDataset{}
+	cache = map[cacheKey]builtDataset{}
 }
 
 // Describe returns a one-line summary of a built dataset, in the format

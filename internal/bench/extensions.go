@@ -82,7 +82,8 @@ func DynamicExperiment(cfg Config) []Table {
 // AblationExperiment measures the contribution of individual design
 // choices the paper calls out in §4.1: flag-based vertex pruning,
 // threshold scaling and the aggregation tolerance (via the medium and
-// heavy variants), and the dynamic-schedule grain.
+// heavy variants), and the dynamic-schedule grain; and of the
+// flat-array scan for low-degree vertices.
 func AblationExperiment(cfg Config) []Table {
 	datasets := Registry(cfg.Scale)
 	type config struct {
@@ -92,6 +93,7 @@ func AblationExperiment(cfg Config) []Table {
 	configs := []config{
 		{"baseline (all opts on)", func(o *core.Options) {}},
 		{"no vertex pruning", func(o *core.Options) { o.DisablePruning = true }},
+		{"no flat scan", func(o *core.Options) { o.DisableFlatScan = true }},
 		{"no threshold scaling", func(o *core.Options) { o.Variant = core.VariantMedium }},
 		{"no agg tolerance either", func(o *core.Options) { o.Variant = core.VariantHeavy }},
 		{"grain 64", func(o *core.Options) { o.Grain = 64 }},

@@ -36,7 +36,7 @@ func TestDynamicExperimentColumns(t *testing.T) {
 func TestAblationCoversDesignChoices(t *testing.T) {
 	defer ClearCache()
 	report := RenderAll(AblationExperiment(tinyConfig()))
-	for _, want := range []string{"no vertex pruning", "no threshold scaling", "grain", "random refinement"} {
+	for _, want := range []string{"no vertex pruning", "no flat scan", "no threshold scaling", "grain", "random refinement"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("ablation report missing %q", want)
 		}

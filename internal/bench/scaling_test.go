@@ -40,26 +40,6 @@ func TestStrongScalingSmall(t *testing.T) {
 	}
 }
 
-func TestMoveAblationSmall(t *testing.T) {
-	recs := MoveAblation(20_000, 6, 2, 1, []string{"road"})
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want 4 configs", len(recs))
-	}
-	byConfig := map[string]AblationRecord{}
-	for _, r := range recs {
-		byConfig[r.Config] = r
-	}
-	if full := byConfig["full"]; full.RelTime != 1 || full.PruningHitRate <= 0 || full.FlatScans <= 0 {
-		t.Errorf("full config should be the rel-time baseline with active kernels: %+v", full)
-	}
-	if np := byConfig["no-pruning"]; np.PruningHitRate != 0 {
-		t.Errorf("no-pruning must not record pruned vertices: %+v", np)
-	}
-	if nf := byConfig["no-flatscan"]; nf.FlatScans != 0 {
-		t.Errorf("no-flatscan must not record flat scans: %+v", nf)
-	}
-}
-
 func TestScalingThreadCounts(t *testing.T) {
 	for _, tc := range []struct {
 		max  int

@@ -169,7 +169,7 @@ func writeHistogram(w io.Writer, name string, m Metric) error {
 }
 
 // WriteJSON writes the samples as an indented JSON array, in insertion
-// order — the machine-readable dump used by cmd/benchjson.
+// order — the machine-readable dump served at /metrics.json.
 func (ms *MetricSet) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

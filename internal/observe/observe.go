@@ -16,8 +16,8 @@
 //
 //   - MetricSet — a small ordered metric registry with Prometheus
 //     text-format and JSON writers, used by the CLIs' -metrics flag and
-//     by cmd/benchjson to export phase timings, algorithm counters, and
-//     parallel.Pool scheduler counters machine-readably.
+//     the introspection server to export phase timings, algorithm
+//     counters, and parallel.Pool scheduler counters machine-readably.
 //
 // And the continuous layer, for processes that outlive a single run:
 //

@@ -73,8 +73,8 @@ func (s CounterSnapshot) Sub(prev CounterSnapshot) CounterSnapshot {
 
 // Counters returns a merged snapshot of the pool's scheduler counters.
 // It waits for any in-flight region to finish, so it must not be
-// called from inside a region body (call it between runs, like the
-// CLIs and cmd/benchjson do).
+// called from inside a region body (call it between runs, as the CLIs
+// do).
 func (p *Pool) Counters() CounterSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()

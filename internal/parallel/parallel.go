@@ -7,11 +7,10 @@
 //
 // Every parallel primitive names the *Pool it runs on, as its receiver
 // (Pool.For, Pool.FillUint32, ...) or its first argument
-// (ExclusiveScanOn, SumFloat64On); SpawnFor, the pool-free baseline,
-// is the one exception. Callers that do not own a pool use the shared
-// process-default one (Default); performance-critical paths thread an
-// explicit *Pool so one algorithm run reuses one set of workers
-// end-to-end.
+// (ExclusiveScanOn, SumFloat64On). Callers that do not own a pool use
+// the shared process-default one (Default); performance-critical paths
+// thread an explicit *Pool so one algorithm run reuses one set of
+// workers end-to-end.
 //
 // All primitives accept an explicit thread count so that strong-scaling
 // experiments (Figure 9 of the paper) can sweep it; a thread count of 0
@@ -34,12 +33,3 @@ func DefaultThreads() int {
 // amortize the chunk-claim atomic, small enough to balance skewed
 // per-vertex work (power-law degrees).
 const DefaultGrain = 1024
-
-// SpawnFor runs a parallel-for by spawning fresh goroutines over a
-// shared atomic chunk cursor — the pre-pool runtime, kept as the
-// baseline for the pool-vs-spawn benchmarks and as the fallback for
-// regions submitted while a pool is busy or closed. Same contract as
-// Pool.For.
-func SpawnFor(n, threads, grain int, body func(lo, hi, tid int)) {
-	forSpawn(n, threads, grain, body)
-}
